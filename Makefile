@@ -3,7 +3,7 @@ FUNCY = $(DUNE) exec --no-build bin/funcy.exe --
 
 .PHONY: all build test smoke smoke-faults smoke-trace smoke-procs \
         smoke-shard smoke-selfcheck smoke-adaptive smoke-serve smoke-recover golden \
-        bench-gate coverage check clean
+        bench-gate perfbench-selftest coverage check clean
 
 # Committed perf baseline the gate compares against (see bench-gate).
 BENCH_SEED ?= BENCH_11e6649.json
@@ -35,7 +35,7 @@ smoke-faults: build
 	  > _build/smoke-faults-j4.out
 	cmp _build/smoke-faults-j1.out _build/smoke-faults-j4.out
 	rm -f _build/smoke-faults.snap _build/smoke-faults.snap.quarantine \
-	  _build/smoke-faults.snap.commit
+	  _build/smoke-faults.snap.commit _build/smoke-faults.snap.lock
 	$(FUNCY) tune -b swim -a cfr -k 120 --faults --fault-seed 7 \
 	  --checkpoint _build/smoke-faults.snap --die-after 60 \
 	  > /dev/null 2>/dev/null; test $$? -eq 99
@@ -43,7 +43,7 @@ smoke-faults: build
 	  --checkpoint _build/smoke-faults.snap > _build/smoke-faults-resumed.out
 	cmp _build/smoke-faults-resumed.out _build/smoke-faults-j1.out
 	rm -f _build/smoke-faults.snap _build/smoke-faults.snap.quarantine \
-	  _build/smoke-faults.snap.commit
+	  _build/smoke-faults.snap.commit _build/smoke-faults.snap.lock
 	@echo "smoke-faults OK: fault schedule jobs-independent, kill-and-resume bit-identical"
 
 # Tracing smoke (see DESIGN.md section 10):
@@ -90,7 +90,9 @@ smoke-procs: build
 #      checked against --jobs 1 by `smoke`);
 #   2. they stay byte-identical when node 0 is SIGKILLed mid-search
 #      (--kill-node-after): its shard migrates by work stealing and the
-#      in-flight job retries bit-identically.
+#      in-flight job retries bit-identically;
+#   3. a sharded run killed mid-search by --die-after resumes from its
+#      checkpoint to output byte-identical to the uninterrupted run.
 smoke-shard: build
 	$(FUNCY) tune -b swim -a cfr -k 120 --jobs 4 \
 	  --trace _build/smoke-shard-d.jsonl --trace-clock logical \
@@ -106,7 +108,17 @@ smoke-shard: build
 	  > _build/smoke-shard-k.out
 	cmp _build/smoke-shard-d.out _build/smoke-shard-k.out
 	cmp _build/smoke-shard-d.jsonl _build/smoke-shard-k.jsonl
-	@echo "smoke-shard OK: sharded backend byte-identical to domains, even under node kills"
+	rm -f _build/smoke-shard.snap _build/smoke-shard.snap.quarantine \
+	  _build/smoke-shard.snap.commit _build/smoke-shard.snap.lock
+	$(FUNCY) tune -b swim -a cfr -k 120 --backend sharded --nodes 4 \
+	  --checkpoint _build/smoke-shard.snap --die-after 60 \
+	  > /dev/null 2>/dev/null; test $$? -eq 99
+	$(FUNCY) tune -b swim -a cfr -k 120 --backend sharded --nodes 4 \
+	  --checkpoint _build/smoke-shard.snap > _build/smoke-shard-r.out
+	cmp _build/smoke-shard-d.out _build/smoke-shard-r.out
+	rm -f _build/smoke-shard.snap _build/smoke-shard.snap.quarantine \
+	  _build/smoke-shard.snap.commit _build/smoke-shard.snap.lock
+	@echo "smoke-shard OK: sharded backend byte-identical to domains, even under node kills and kill-and-resume"
 
 # Checkpoint/resume equivalence oracle (see DESIGN.md section 12): for
 # each algorithm, run uninterrupted, then kill-and-resume at several
@@ -213,6 +225,12 @@ bench-gate: build
 	$(DUNE) exec --no-build bench/main.exe -- --json --jobs 4 \
 	  --gate $(BENCH_SEED) --gate-min-ratio 1.3
 
+# The repository benchmark's own checks (perfbench/NOTES.md): its
+# statistics and digest oracles catch a tampered digest, a tampered
+# output and a missing digest.  About 6 s.
+perfbench-selftest:
+	python3 perfbench/run.py --selftest
+
 # Line coverage of `dune runtest` via bisect_ppx, which must be installed
 # (it is deliberately NOT a build dependency: the instrumentation stanzas
 # are inert unless dune is passed --instrument-with bisect_ppx, so default
@@ -235,7 +253,8 @@ golden: build
 	$(FUNCY) experiment fig5c fig7a -k 12 --csv-dir test/golden
 
 check: build test smoke smoke-faults smoke-trace smoke-procs smoke-shard \
-       smoke-selfcheck smoke-adaptive smoke-serve smoke-recover
+       smoke-selfcheck smoke-adaptive smoke-serve smoke-recover \
+       perfbench-selftest
 
 clean:
 	$(DUNE) clean

@@ -79,7 +79,9 @@ val load : ?warn:(line:int -> reason:string -> unit) -> string -> t
     Before reading, stale {!Atomic_file} temporaries around [path]
     (orphans of writers SIGKILLed mid-save, older than the grace
     period) are swept under {!with_file_lock} — the lock is only taken
-    when litter actually exists.
+    when litter actually exists.  A clean binary file (no torn tail, no
+    malformed record) leaves the returned table with delta state for
+    [path], so its next {!sync} or {!snapshot} there touches only news.
     @raise Corrupt when the header is missing, wrong or truncated;
     [Sys_error] if the file is unreadable. *)
 
@@ -123,8 +125,47 @@ val sync :
     With [~format:Text] it is the v1 whole-file read-merge-write, kept
     for golden tests and human-inspectable shared caches.
 
-    Either way the held lock also pays for an {!Atomic_file.sweep}:
-    stale temporaries left by SIGKILLed writers are reclaimed on every
-    sync.
+    The held lock also pays for an {!Atomic_file.sweep}, reclaiming
+    stale temporaries left by SIGKILLed writers: on every text sync, and
+    for binary on first contact with a file (or whenever it must be
+    re-read in full), so a delta sync never scans the directory.  The
+    entries to append are found through an insertion log, so a sync
+    with little news costs little however large the table.
 
+    @raise Corrupt as {!load}. *)
+
+(** {2 Checkpoint snapshots}
+
+    {!Checkpoint} keeps its cache snapshot on the same delta path as
+    {!sync}, and proves each save with a {!mark}. *)
+
+type mark = { bytes : int; chain : Digest.t }
+(** What a commit record pins about one file: its length in bytes and
+    the chained digest of its records, h{_0} = MD5(header line),
+    h{_i} = MD5(h{_i-1} ^ record{_i}).  Records are whole frames for a
+    binary file and newline-terminated lines for a line-oriented one; a
+    torn tail counts in [bytes] but never in the chain.  Appending
+    records extends a mark without reading the prefix it covers, and a
+    byte changed anywhere in that prefix changes the chain. *)
+
+val mark_lines : string -> mark
+(** The mark of a line-oriented file's contents (header = first line):
+    text caches, quarantine snapshots. *)
+
+val snapshot : ?format:format -> t -> path:string -> mark
+(** Make the file at [path] hold every entry of [t] and return its mark.
+    With [~format:Binary] (the default) this is {!sync}'s delta path
+    under {!with_file_lock}: when [t] holds delta state for [path] — from
+    an earlier [snapshot], a {!sync} or a {!load}, and the file
+    is still the one it describes — only entries added since are
+    appended and fsynced, and with none nothing is written.  Without
+    such state whatever is at [path] is replaced by an atomic full
+    rewrite, and delta state is installed from it.  [~format:Text] is
+    always an atomic full rewrite.
+    @raise Invalid_argument as {!save}. *)
+
+val load_snapshot :
+  ?warn:(line:int -> reason:string -> unit) -> string -> t * mark
+(** {!load}, also returning the file's {!mark}, computed in the decoding
+    pass.
     @raise Corrupt as {!load}. *)

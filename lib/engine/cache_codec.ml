@@ -123,7 +123,7 @@ let parse_payload contents ~pos ~len =
   | entry -> Ok entry
   | exception Bad reason -> Error reason
 
-let decode ?warn ~pos contents =
+let decode ?warn ?on_frame ~pos contents =
   let warn =
     match warn with Some w -> w | None -> fun ~line:_ ~reason:_ -> ()
   in
@@ -150,6 +150,7 @@ let decode ?warn ~pos contents =
       else
         let payload = ofs + Framing.header_bytes in
         let next = payload + len in
+        Option.iter (fun f -> f ~pos:ofs ~len:(next - ofs)) on_frame;
         match parse_payload contents ~pos:payload ~len with
         | Ok entry -> go next (record + 1) (entry :: acc) skipped
         | Error reason ->

@@ -74,6 +74,7 @@ type decoded = {
 
 val decode :
   ?warn:(line:int -> reason:string -> unit) ->
+  ?on_frame:(pos:int -> len:int -> unit) ->
   pos:int ->
   string ->
   decoded
@@ -83,4 +84,7 @@ val decode :
     input: torn tails and malformed payloads are reported through
     [warn] — [line] is the 1-based record ordinal within this scan, as
     the text loader reports line numbers — and reflected in the result.
-    [committed] is relative to the start of [contents], i.e. [>= pos]. *)
+    [committed] is relative to the start of [contents], i.e. [>= pos].
+    [on_frame] sees every whole frame in file order — its byte offset
+    and its length, prefix included — whether or not its payload parses:
+    the hook {!Cache} folds its commit chain through. *)

@@ -497,22 +497,30 @@ let worker_shipment t ~toolchain ?outline ~program ~input ~batch (i, job) =
 (* Replay one worker's deltas onto the parent's stores.  Adoption is
    conditional on absence: a sibling worker (blind to this one's fork
    image) may have already computed the same key — the values are
-   bit-identical by the determinism argument, so first-in wins.  The
+   bit-identical by the determinism argument, so first-in wins.  Each
+   adopted entry is one checkpoint event, as on the domains backend; a
+   shipment that adopts nothing changes no state and ticks nothing.  The
    progress tick comes last so a [--die-after] checkpoint flush already
    contains the merged entries. *)
 let merge_shipment t sh =
   List.iter
-    (fun (k, s) -> if Cache.find t.cache k = None then Cache.add t.cache k s)
+    (fun (k, s) ->
+      if Cache.find t.cache k = None then begin
+        Cache.add t.cache k s;
+        checkpoint_tick t
+      end)
     sh.sh_cache;
   List.iter
     (fun (k, r) ->
-      if Quarantine.find t.quarantine k = None then Quarantine.add t.quarantine k r)
+      if Quarantine.find t.quarantine k = None then begin
+        Quarantine.add t.quarantine k r;
+        checkpoint_tick t
+      end)
     sh.sh_quar;
   Telemetry.absorb t.telemetry sh.sh_tel;
   (match (t.trace, sh.sh_trace) with
   | Some tr, Some (epoch, stamps) -> Trace.inject tr ~epoch stamps
   | _ -> ());
-  checkpoint_tick t;
   Telemetry.tick t.telemetry
 
 (* -- the sharded backend's registry ------------------------------------- *)

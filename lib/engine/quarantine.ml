@@ -55,14 +55,18 @@ let parse_entry line =
       | None -> Error "unparsable timeout seconds")
   | _ -> Error "unrecognized quarantine entry"
 
+let to_string t =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf (format_magic ^ "\n");
+  List.iter
+    (fun (key, reason) ->
+      Buffer.add_string buf (entry_line key reason);
+      Buffer.add_char buf '\n')
+    (bindings t);
+  Buffer.contents buf
+
 let save t ~path =
-  Atomic_file.write ~path (fun oc ->
-      output_string oc (format_magic ^ "\n");
-      List.iter
-        (fun (key, reason) ->
-          output_string oc (entry_line key reason);
-          output_char oc '\n')
-        (bindings t))
+  Atomic_file.write ~path (fun oc -> output_string oc (to_string t))
 
 exception Corrupt of { path : string; line : int; reason : string }
 
@@ -70,33 +74,32 @@ let default_warn ~path ~line ~reason =
   Printf.eprintf "warning: %s:%d: skipping malformed quarantine entry (%s)\n%!"
     path line reason
 
-let load ?warn path =
+let of_string ?warn ~path contents =
   let warn =
     match warn with
     | Some w -> w
     | None -> fun ~line ~reason -> default_warn ~path ~line ~reason
   in
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      (match input_line ic with
-      | magic when magic = format_magic -> ()
-      | _ ->
-          raise
-            (Corrupt { path; line = 1; reason = "not a quarantine file" })
-      | exception End_of_file ->
-          raise (Corrupt { path; line = 1; reason = "empty file" }));
+  match String.split_on_char '\n' contents with
+  | [ "" ] -> raise (Corrupt { path; line = 1; reason = "empty file" })
+  | magic :: lines when magic = format_magic ->
       let t = create () in
-      let line_no = ref 1 in
-      (try
-         while true do
-           let line = input_line ic in
-           incr line_no;
-           if line <> "" then
-             match parse_entry line with
-             | Ok (key, reason) -> Hashtbl.replace t.table key reason
-             | Error reason -> warn ~line:!line_no ~reason
-         done
-       with End_of_file -> ());
-      t)
+      (* A line is trusted only once its newline reached the disk: the
+         final element is "" for a whole file, else a torn line. *)
+      let last = List.length lines - 1 in
+      List.iteri
+        (fun idx line ->
+          let line_no = idx + 2 in
+          if line = "" then ()
+          else if idx = last then
+            warn ~line:line_no ~reason:"torn final line (missing newline)"
+          else
+            match parse_entry line with
+            | Ok (key, reason) -> Hashtbl.replace t.table key reason
+            | Error reason -> warn ~line:line_no ~reason)
+        lines;
+      t
+  | _ -> raise (Corrupt { path; line = 1; reason = "not a quarantine file" })
+
+let load ?warn path =
+  of_string ?warn ~path (In_channel.with_open_bin path In_channel.input_all)

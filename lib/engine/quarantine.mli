@@ -29,14 +29,25 @@ val length : t -> int
 val bindings : t -> (string * reason) list
 (** Sorted by key, for deterministic persistence and comparison. *)
 
+val to_string : t -> string
+(** The snapshot's contents: a magic line, then one line per entry in key
+    order. *)
+
 val save : t -> path:string -> unit
-(** Atomic (write-temp-then-rename) line-oriented snapshot. *)
+(** Atomic (write-temp-then-rename) line-oriented snapshot of
+    {!to_string}. *)
 
 exception Corrupt of { path : string; line : int; reason : string }
 (** Raised by {!load} when the file is not a quarantine file at all
     (missing or wrong magic header). *)
 
-val load : ?warn:(line:int -> reason:string -> unit) -> string -> t
-(** [load path] reads a snapshot.  Malformed lines after a valid header are skipped
-    through [warn] (default: one stderr line each) rather than aborting.
+val of_string :
+  ?warn:(line:int -> reason:string -> unit) -> path:string -> string -> t
+(** Parse snapshot contents ([path] only labels diagnostics).  Malformed
+    lines after a valid header are skipped through [warn] (default: one
+    stderr line each) rather than aborting, and so is a final line
+    without its newline: a torn write, trusted only once committed.
     @raise Corrupt on a missing or invalid magic header. *)
+
+val load : ?warn:(line:int -> reason:string -> unit) -> string -> t
+(** [load path] reads and parses a snapshot with {!of_string}. *)

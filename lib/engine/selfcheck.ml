@@ -128,9 +128,7 @@ let run ?kill_points ?format ~scratch ~label ~make_engine ~search () =
     let stage = Printf.sprintf "kill@%d" n in
     let snap = Filename.concat scratch (Printf.sprintf "kill%d.snap" n) in
     let ck = Checkpoint.create ~path:snap ?format () in
-    List.iter remove_if_exists
-      [ Checkpoint.path ck; Checkpoint.quarantine_path ck;
-        Checkpoint.commit_path ck ];
+    List.iter remove_if_exists (Checkpoint.files ck);
     let doomed =
       make_engine ~cache:(Cache.create ()) ~quarantine:(Quarantine.create ())
         ~checkpoint:None ~trace:None
@@ -154,6 +152,7 @@ let run ?kill_points ?format ~scratch ~label ~make_engine ~search () =
             ~trace:(Some trace)
         in
         let result = search resumed_engine in
+        List.iter remove_if_exists (Checkpoint.files ck);
         let candidate =
           snapshot ~scratch ~tag:(Printf.sprintf "resumed%d" n) resumed_engine
             trace result

@@ -117,11 +117,7 @@ let make_durable
            the half-search snapshots have served their purpose. *)
         List.iter
           (fun p -> try Sys.remove p with Sys_error _ -> ())
-          [
-            path;
-            Checkpoint.quarantine_path checkpoint;
-            Checkpoint.commit_path checkpoint;
-          ]
+          (Checkpoint.files checkpoint)
     | Error _ -> ());
     result
   in

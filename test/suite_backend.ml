@@ -16,6 +16,7 @@ module Cache = Ft_engine.Cache
 module Quarantine = Ft_engine.Quarantine
 module Engine = Ft_engine.Engine
 module Telemetry = Ft_engine.Telemetry
+module Checkpoint = Ft_engine.Checkpoint
 module Exec = Ft_machine.Exec
 module Trace = Ft_obs.Trace
 module Export = Ft_obs.Export
@@ -273,6 +274,69 @@ let run_algo ?kill_workers_after ?kill_node_after ?checkpoint ~backend ~jobs
   Engine.flush_checkpoint engine;
   let bytes = String.concat "\n" (Export.jsonl_lines trace) ^ "\n" in
   (result, bytes, engine)
+
+(* --- warm resume: no news, no saves ------------------------------------ *)
+
+let test_warm_resume_never_saves () =
+  (* A resume whose checkpoint already holds every summary changes no
+     state: at [~every:1] it must not save once before its final flush,
+     on any backend — a worker's shipment that adopts nothing is not an
+     event — and that flush must leave every file as it was.  The
+     domains leg runs at jobs 1, so this binary never spawns a domain. *)
+  let dir = Test_helpers.temp_dir "warm-resume" in
+  Fun.protect
+    ~finally:(fun () -> Test_helpers.remove_tree dir)
+    (fun () ->
+      let path = Filename.concat dir "warm.snap" in
+      let search engine =
+        Tuner.run_cfr
+          (Tuner.make_session ~pool_size:24 ~engine ~platform ~program:swim
+             ~input ~seed:42 ())
+      in
+      let cold_engine =
+        Engine.create ~checkpoint:(Checkpoint.create ~path ()) ()
+      in
+      let cold = search cold_engine in
+      Engine.flush_checkpoint cold_engine;
+      let files = [ path; path ^ ".quarantine"; path ^ ".commit" ] in
+      let on_disk () =
+        List.map
+          (fun p ->
+            let st = Unix.stat p in
+            (st.Unix.st_ino, st.Unix.st_size, Test_helpers.read_file p))
+          files
+      in
+      let committed = on_disk () in
+      List.iter
+        (fun (backend, jobs) ->
+          let tag = Printf.sprintf "%s/%d" (Backend.to_name backend) jobs in
+          let saves = ref 0 in
+          let ck =
+            Checkpoint.create ~path ~every:1
+              ~on_write:(fun stage -> if stage = "commit" then incr saves)
+              ()
+          in
+          let cache, quarantine =
+            match
+              Checkpoint.load
+                ~warn:(fun ~line:_ ~reason -> Alcotest.failf "%s: %s" tag reason)
+                ck
+            with
+            | Some loaded -> loaded
+            | None -> Alcotest.fail "nothing to resume from"
+          in
+          let engine =
+            Engine.create ~jobs ~nodes:jobs ~backend ~cache ~quarantine
+              ~checkpoint:ck ()
+          in
+          Alcotest.(check bool) (tag ^ ": same result") true
+            (search engine = cold);
+          Alcotest.(check int) (tag ^ ": no save before the flush") 0 !saves;
+          Engine.flush_checkpoint engine;
+          Alcotest.(check int) (tag ^ ": the flush is one save") 1 !saves;
+          Alcotest.(check bool) (tag ^ ": which writes nothing") true
+            (on_disk () = committed))
+        [ (Backend.Domains, 1); (Backend.Processes, 2); (Backend.Sharded, 2) ])
 
 let check_differential algo name =
   let base_result, base_bytes, _ =
@@ -960,6 +1024,8 @@ let suite =
         test_differential_survives_worker_kills;
       Alcotest.test_case "differential survives node kills" `Quick
         test_differential_survives_node_kills;
+      Alcotest.test_case "warm resume never saves (3 backends)" `Quick
+        test_warm_resume_never_saves;
       Alcotest.test_case "cfr format differential (full matrix)" `Quick
         test_format_differential_cfr;
       Alcotest.test_case "fr format differential" `Quick

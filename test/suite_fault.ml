@@ -304,7 +304,7 @@ let with_checkpoint_path f =
       Sys.remove path;
       List.iter
         (fun p -> if Sys.file_exists p then Sys.remove p)
-        [ path ^ ".quarantine"; path ^ ".commit" ])
+        [ path ^ ".quarantine"; path ^ ".commit"; path ^ ".lock" ])
     (fun () -> f path)
 
 let test_checkpoint_roundtrip () =
@@ -444,6 +444,269 @@ let test_concurrent_tick_saves_serialize () =
     (well_formed log);
   Alcotest.(check int) "every due tick saved" (3 * 100) (List.length log)
 
+(* --- the append protocol ----------------------------------------------- *)
+
+module Cache_codec = Ft_engine.Cache_codec
+
+let entry_summary i =
+  {
+    Ft_machine.Exec.sum_total_s = 1.0 +. float_of_int i;
+    sum_nonloop_s = 0.5;
+    sum_loops = (if i mod 2 = 0 then [] else [ ("loop_a", 0.25 *. float_of_int i) ]);
+  }
+
+let entry_reason i =
+  match i mod 3 with
+  | 0 -> Quarantine.Wrong_answer
+  | 1 -> Quarantine.Build_failed "mod_x"
+  | _ -> Quarantine.Timed_out 2.5
+
+(* Load through a fresh [Checkpoint.t], collecting every warning. *)
+let load_with_warnings path =
+  let warnings = ref [] in
+  let warn ~line:_ ~reason = warnings := reason :: !warnings in
+  let loaded = Checkpoint.load ~warn (Checkpoint.create ~path ()) in
+  (loaded, !warnings)
+
+let tear_reported warnings =
+  List.exists (fun r -> Test_helpers.contains r "torn checkpoint") warnings
+
+(* [batches] of (new cache entries, new quarantine entries), one flush
+   after each: every flush after the first is a delta save. *)
+let delta_saves path batches =
+  let ck = Checkpoint.create ~path () in
+  let cache = Cache.create () and quarantine = Quarantine.create () in
+  let next = ref 0 in
+  List.iter
+    (fun (c, q) ->
+      for _ = 1 to c do
+        incr next;
+        Cache.add cache (Cache.digest (string_of_int !next)) (entry_summary !next)
+      done;
+      for _ = 1 to q do
+        incr next;
+        Quarantine.add quarantine
+          (Cache.digest ("q" ^ string_of_int !next))
+          (entry_reason !next)
+      done;
+      Checkpoint.flush ck ~cache ~quarantine)
+    batches;
+  (cache, quarantine)
+
+(* Records of a snapshot as (end offset, key), in file order. *)
+let cache_records contents =
+  let ends = ref [] in
+  let d =
+    Cache_codec.decode
+      ~on_frame:(fun ~pos ~len -> ends := (pos + len) :: !ends)
+      ~pos:(String.length Cache_codec.header) contents
+  in
+  List.combine (List.rev !ends) (List.map fst d.Cache_codec.entries)
+
+let quarantine_records contents =
+  let rec go pos acc =
+    match String.index_from_opt contents pos '\n' with
+    | None -> List.rev acc
+    | Some eol ->
+        let line = String.sub contents pos (eol - pos) in
+        let key = List.hd (String.split_on_char '\t' line) in
+        go (eol + 1) (if pos = 0 then acc else (eol + 1, key) :: acc)
+  in
+  go 0 []
+
+(* Truncate [file] at every byte; each load must return exactly the
+   records wholly before the cut (none inside the header, where the
+   loader may also refuse the file outright) and report a tear iff the
+   cut is not at the committed length, the file's full length. *)
+let every_cut_loads_a_prefix ~path ~file ~records ~keys_of =
+  let full = Test_helpers.read_file file in
+  let len = String.length full in
+  let ok = ref true in
+  Fun.protect
+    ~finally:(fun () -> Test_helpers.write_file file full)
+    (fun () ->
+      for cut = 0 to len do
+        Test_helpers.write_file file (String.sub full 0 cut);
+        let expected =
+          List.sort compare
+            (List.filter_map
+               (fun (stop, k) -> if stop <= cut then Some k else None)
+               records)
+        in
+        match load_with_warnings path with
+        | exception (Cache.Corrupt _ | Quarantine.Corrupt _) ->
+            if expected <> [] then ok := false
+        | None, _ -> ok := false
+        | Some loaded, warnings ->
+            if keys_of loaded <> expected || tear_reported warnings <> (cut <> len)
+            then ok := false
+      done);
+  !ok
+
+let batches_arb =
+  QCheck.make
+    ~print:(fun l ->
+      String.concat "; " (List.map (fun (c, q) -> Printf.sprintf "%d+%d" c q) l))
+    QCheck.Gen.(list_size (int_range 1 4) (pair (int_bound 4) (int_bound 2)))
+
+let prop_delta_saves_truncate_to_a_prefix =
+  QCheck.Test.make ~count:12 ~name:"delta saves: every cut loads a committed prefix"
+    batches_arb (fun batches ->
+      let dir = Test_helpers.temp_dir "ck-cut" in
+      Fun.protect
+        ~finally:(fun () -> Test_helpers.remove_tree dir)
+        (fun () ->
+          let path = Filename.concat dir "c.snap" in
+          ignore (delta_saves path batches);
+          let quarantine_file = path ^ ".quarantine" in
+          every_cut_loads_a_prefix ~path ~file:path
+            ~records:(cache_records (Test_helpers.read_file path))
+            ~keys_of:(fun (c, _) -> List.map fst (Cache.bindings c))
+          && every_cut_loads_a_prefix ~path ~file:quarantine_file
+               ~records:(quarantine_records (Test_helpers.read_file quarantine_file))
+               ~keys_of:(fun (_, q) -> List.map fst (Quarantine.bindings q))))
+
+let test_flipped_byte_is_reported () =
+  let dir = Test_helpers.temp_dir "ck-flip" in
+  Fun.protect
+    ~finally:(fun () -> Test_helpers.remove_tree dir)
+    (fun () ->
+      let path = Filename.concat dir "c.snap" in
+      ignore (delta_saves path [ (4, 1); (3, 0); (0, 2); (5, 1) ]);
+      let _, warnings = load_with_warnings path in
+      Alcotest.(check (list string)) "intact checkpoint loads silently" []
+        warnings;
+      List.iter
+        (fun file ->
+          let full = Test_helpers.read_file file in
+          for i = 0 to String.length full - 1 do
+            let flipped = Bytes.of_string full in
+            Bytes.set flipped i
+              (Char.chr (Char.code full.[i] lxor 0x20));
+            Test_helpers.write_file file (Bytes.to_string flipped);
+            let reported =
+              match load_with_warnings path with
+              | exception (Cache.Corrupt _ | Quarantine.Corrupt _) -> true
+              | _, warnings -> tear_reported warnings
+            in
+            if not reported then
+              Alcotest.failf "flipped byte %d of %s went unreported" i file
+          done;
+          Test_helpers.write_file file full)
+        [ path; path ^ ".quarantine" ])
+
+let test_v1_commit_record_verifies () =
+  with_checkpoint_path @@ fun path ->
+  let cache, quarantine = delta_saves path [ (3, 1); (2, 1) ] in
+  let v1 ~cache_digest =
+    Printf.sprintf "ft-checkpoint-commit/1\ncache %s\nquarantine %s\n"
+      cache_digest
+      (Digest.to_hex (Digest.file (path ^ ".quarantine")))
+  in
+  Test_helpers.write_file (path ^ ".commit")
+    (v1 ~cache_digest:(Digest.to_hex (Digest.file path)));
+  let ck = Checkpoint.create ~path () in
+  let warnings = ref [] in
+  let warn ~line:_ ~reason = warnings := reason :: !warnings in
+  (match Checkpoint.load ~warn ck with
+  | None -> Alcotest.fail "a v1-committed checkpoint must load"
+  | Some (c, q) ->
+      Alcotest.(check (list string)) "v1 record verifies silently" [] !warnings;
+      Alcotest.(check bool) "entries intact" true
+        (Cache.bindings c = Cache.bindings cache
+        && Quarantine.bindings q = Quarantine.bindings quarantine);
+      Checkpoint.flush ck ~cache:c ~quarantine:q);
+  Alcotest.(check bool) "the next save writes a v2 record" true
+    (Test_helpers.contains
+       (Test_helpers.read_file (path ^ ".commit"))
+       "ft-checkpoint-commit/2\n");
+  Alcotest.(check (list string)) "the upgraded record verifies" []
+    (snd (load_with_warnings path));
+  Test_helpers.write_file (path ^ ".commit")
+    (v1 ~cache_digest:(Digest.to_hex (Digest.string "something else")));
+  Alcotest.(check bool) "a mismatching v1 record is still caught" true
+    (tear_reported (snd (load_with_warnings path)))
+
+(* /proc/self/io's running count of bytes this process has read, where
+   the kernel provides it. *)
+let bytes_read () =
+  match open_in "/proc/self/io" with
+  | exception Sys_error _ -> None
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () ->
+          let rec scan () =
+            match In_channel.input_line ic with
+            | None -> None
+            | Some line -> (
+                match String.split_on_char ' ' line with
+                | [ "rchar:"; n ] -> int_of_string_opt n
+                | _ -> scan ())
+          in
+          scan ())
+
+let test_saves_cost_the_delta () =
+  (* Pins O(delta) without timing.  After the first (full) save the
+     snapshot keeps its inode, every save grows it by exactly the frames
+     of the entries added since the previous one, and a save reads at
+     most a handful of bytes beyond that delta — never the file. *)
+  with_checkpoint_path @@ fun path ->
+  let cache = Cache.create () in
+  let frame_bytes (k, s) =
+    let b = Buffer.create 128 in
+    Cache_codec.encode_record b k s;
+    Buffer.length b
+  in
+  let on_disk = Hashtbl.create 256 in
+  let inode = ref None and size = ref 0 and saves = ref 0 in
+  let delta = ref 0 and max_delta = ref 0 and read_before = ref None in
+  let on_write = function
+    | "quarantine" -> read_before := bytes_read ()
+    | "cache" ->
+        let news =
+          List.filter (fun (k, _) -> not (Hashtbl.mem on_disk k)) (Cache.bindings cache)
+        in
+        List.iter (fun (k, _) -> Hashtbl.replace on_disk k ()) news;
+        delta := List.fold_left (fun a e -> a + frame_bytes e) 0 news;
+        if !saves > 0 then max_delta := max !max_delta !delta;
+        let st = Unix.stat path in
+        (match !inode with
+        | None ->
+            inode := Some st.Unix.st_ino;
+            Alcotest.(check int) "first save: header plus every frame"
+              (String.length Cache_codec.header + !delta) st.Unix.st_size
+        | Some ino ->
+            Alcotest.(check int) "same inode: appended, not replaced" ino
+              st.Unix.st_ino;
+            Alcotest.(check int) "grown by exactly the new frames" !delta
+              (st.Unix.st_size - !size));
+        size := st.Unix.st_size;
+        incr saves
+    | _ -> (
+        match (!read_before, bytes_read ()) with
+        | Some before, Some after ->
+            if after - before > !delta + 512 then
+              Alcotest.failf "save %d read %d bytes for a %d-byte delta (file %d)"
+                !saves (after - before) !delta !size
+        | _ -> ())
+  in
+  let ck = Checkpoint.create ~path ~every:8 ~on_write () in
+  let engine = Engine.create ~jobs:1 ~cache ~checkpoint:ck () in
+  let session =
+    Tuner.make_session ~pool_size:30 ~engine ~platform ~program ~input
+      ~seed:77 ()
+  in
+  ignore (Tuner.run_cfr ~top_x:5 session);
+  Engine.flush_checkpoint engine;
+  (* Large enough that reading it back would break the read bound. *)
+  Alcotest.(check bool) "many delta saves, file outgrows any delta" true
+    (!saves >= 4 && !size > 2 * (!max_delta + 512));
+  Alcotest.(check int) "the snapshot holds every entry once"
+    (String.length Cache_codec.header
+    + List.fold_left (fun a e -> a + frame_bytes e) 0 (Cache.bindings cache))
+    !size
+
 (* --- the searches under fire ------------------------------------------ *)
 
 let faulty_session ?(seed = 1234) ?(jobs = 2) () =
@@ -549,6 +812,13 @@ let suite =
         test_missing_commit_record_warns;
       Alcotest.test_case "concurrent tick saves serialize" `Quick
         test_concurrent_tick_saves_serialize;
+      QCheck_alcotest.to_alcotest prop_delta_saves_truncate_to_a_prefix;
+      Alcotest.test_case "flipped committed byte reported" `Quick
+        test_flipped_byte_is_reported;
+      Alcotest.test_case "v1 commit record still verifies" `Quick
+        test_v1_commit_record_verifies;
+      Alcotest.test_case "saves cost the delta, not the file" `Quick
+        test_saves_cost_the_delta;
       Alcotest.test_case "searches complete under faults" `Quick
         test_searches_complete_under_faults;
       Alcotest.test_case "searches deterministic under faults" `Quick

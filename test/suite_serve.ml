@@ -500,6 +500,34 @@ let test_journal_replay () =
   checkb "crashes" true (r.Journal.crashes = [ (fp2, 1) ]);
   checkb "nothing poisoned" true (r.Journal.poisoned = [])
 
+let test_durable_runner_cleans_up () =
+  (* A completed durable request leaves nothing of its checkpoint in the
+     state dir: snapshots, commit record and the cache's lock sidecar. *)
+  let state_dir = Test_helpers.temp_dir "durable" in
+  Fun.protect
+    ~finally:(fun () -> Test_helpers.remove_tree state_dir)
+    (fun () ->
+      let runner =
+        Runner.make_durable
+          ~make_engine:(fun ?cache ?quarantine ?checkpoint () ->
+            Ft_engine.Engine.create ~jobs:1 ?cache ?quarantine ?checkpoint ())
+          ~state_dir ~checkpoint_every:4 ()
+      in
+      let spec =
+        { Protocol.benchmark = "swim"; platform = "bdw"; algorithm = "cfr";
+          seed = 3; pool = 20; top_x = None }
+      in
+      let fingerprint = Protocol.fingerprint spec in
+      let ticks = ref 0 in
+      (match runner.Runner.run spec ~fingerprint ~tick:(fun () -> incr ticks) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "durable run failed: %s" e);
+      Alcotest.(check bool) "the run checkpointed" true (!ticks > 4);
+      Alcotest.(check (list string)) "no file left for the fingerprint" []
+        (List.filter
+           (fun name -> Test_helpers.contains name fingerprint)
+           (Array.to_list (Sys.readdir state_dir))))
+
 let test_journal_crashes () =
   let path = temp_journal () in
   let s = spec "swim" in
@@ -670,6 +698,8 @@ let suite =
         test_journal_replay;
       Alcotest.test_case "journal crash accounting and quarantine" `Quick
         test_journal_crashes;
+      Alcotest.test_case "durable runner leaves no checkpoint files" `Quick
+        test_durable_runner_cleans_up;
       QCheck_alcotest.to_alcotest journal_truncation_property;
       Alcotest.test_case "supervisor backoff schedule law" `Quick
         test_supervisor_delays;
