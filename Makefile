@@ -2,7 +2,7 @@ DUNE ?= dune
 FUNCY = $(DUNE) exec --no-build bin/funcy.exe --
 
 .PHONY: all build test smoke smoke-faults smoke-trace smoke-procs \
-        smoke-shard smoke-selfcheck smoke-adaptive smoke-serve smoke-recover golden \
+        smoke-selfcheck smoke-adaptive smoke-serve smoke-recover golden \
         bench-gate perfbench-selftest coverage check clean
 
 # Committed perf baseline the gate compares against (see bench-gate).
@@ -62,11 +62,18 @@ smoke-trace: build
 	cmp _build/smoke-trace-report1.out _build/smoke-trace-report2.out
 	@echo "smoke-trace OK: logical trace bytes jobs-independent, report reproducible"
 
-# Process-backend smoke (see DESIGN.md section 11):
-#   1. --backend processes --jobs 4 tune output AND its logical trace are
-#      byte-identical to --backend domains --jobs 1;
-#   2. they stay byte-identical when a worker is SIGKILLed mid-search
-#      (--kill-workers-after): the crashed job is retried bit-identically.
+# Fork-substrate smoke (see DESIGN.md sections 11 and 17): both spellings
+# of the forked-worker pool, --backend processes (sized by --jobs) and
+# --backend sharded (sized by --nodes), must keep tune output AND its
+# logical trace byte-identical to --backend domains:
+#   1. processes --jobs 4 vs domains --jobs 1;
+#   2. the same while a worker is SIGKILLed mid-search
+#      (--kill-workers-after): the crashed job is retried bit-identically;
+#   3. sharded --nodes 4 vs domains --jobs 4 (itself already checked
+#      against --jobs 1 by `smoke`);
+#   4. the same under --kill-workers-after;
+#   5. a sharded run killed mid-search by --die-after resumes from its
+#      checkpoint to output byte-identical to the uninterrupted run.
 smoke-procs: build
 	$(FUNCY) tune -b swim -a cfr -k 120 --jobs 1 \
 	  --trace _build/smoke-procs-d.jsonl --trace-clock logical \
@@ -82,18 +89,6 @@ smoke-procs: build
 	  > _build/smoke-procs-k.out
 	cmp _build/smoke-procs-d.out _build/smoke-procs-k.out
 	cmp _build/smoke-procs-d.jsonl _build/smoke-procs-k.jsonl
-	@echo "smoke-procs OK: processes backend byte-identical to domains, even under worker kills"
-
-# Sharded-backend smoke (see DESIGN.md section 17):
-#   1. --backend sharded --nodes 4 tune output AND its logical trace are
-#      byte-identical to --backend domains --jobs 4 (itself already
-#      checked against --jobs 1 by `smoke`);
-#   2. they stay byte-identical when node 0 is SIGKILLed mid-search
-#      (--kill-node-after): its shard migrates by work stealing and the
-#      in-flight job retries bit-identically;
-#   3. a sharded run killed mid-search by --die-after resumes from its
-#      checkpoint to output byte-identical to the uninterrupted run.
-smoke-shard: build
 	$(FUNCY) tune -b swim -a cfr -k 120 --jobs 4 \
 	  --trace _build/smoke-shard-d.jsonl --trace-clock logical \
 	  > _build/smoke-shard-d.out
@@ -103,7 +98,7 @@ smoke-shard: build
 	cmp _build/smoke-shard-d.out _build/smoke-shard-s.out
 	cmp _build/smoke-shard-d.jsonl _build/smoke-shard-s.jsonl
 	$(FUNCY) tune -b swim -a cfr -k 120 --backend sharded --nodes 4 \
-	  --kill-node-after 3 \
+	  --kill-workers-after 3 \
 	  --trace _build/smoke-shard-k.jsonl --trace-clock logical \
 	  > _build/smoke-shard-k.out
 	cmp _build/smoke-shard-d.out _build/smoke-shard-k.out
@@ -118,7 +113,7 @@ smoke-shard: build
 	cmp _build/smoke-shard-d.out _build/smoke-shard-r.out
 	rm -f _build/smoke-shard.snap _build/smoke-shard.snap.quarantine \
 	  _build/smoke-shard.snap.commit _build/smoke-shard.snap.lock
-	@echo "smoke-shard OK: sharded backend byte-identical to domains, even under node kills and kill-and-resume"
+	@echo "smoke-procs OK: processes and sharded byte-identical to domains, even under worker kills and kill-and-resume"
 
 # Checkpoint/resume equivalence oracle (see DESIGN.md section 12): for
 # each algorithm, run uninterrupted, then kill-and-resume at several
@@ -252,7 +247,7 @@ coverage:
 golden: build
 	$(FUNCY) experiment fig5c fig7a -k 12 --csv-dir test/golden
 
-check: build test smoke smoke-faults smoke-trace smoke-procs smoke-shard \
+check: build test smoke smoke-faults smoke-trace smoke-procs \
        smoke-selfcheck smoke-adaptive smoke-serve smoke-recover \
        perfbench-selftest
 

@@ -7,9 +7,9 @@
      --jobs N | -j N   size of the evaluation-engine worker pool
                        (default 1 = sequential; results are bit-identical
                        for any value)
-     --backend NAME    evaluation substrate: domains (default) or
-                       processes (forked workers; crash-isolated, same
-                       results)
+     --backend NAME    evaluation substrate: domains (default), processes
+                       or sharded (both run --jobs forked workers;
+                       crash-isolated, same results)
      --stats           print engine telemetry at exit
      --faults          arm the deterministic fault model for the lab engine
      --fault-rate R    overall injected fault rate in [0,1] (default 0.1)
@@ -70,7 +70,9 @@ let policy () =
 let make_engine () =
   let open Ft_engine in
   match !checkpoint with
-  | None -> Engine.create ~jobs:!jobs ~backend:!backend ~policy:(policy ()) ()
+  | None ->
+      Engine.create ~jobs:!jobs ~nodes:!jobs ~backend:!backend
+        ~policy:(policy ()) ()
   | Some path ->
       let ck = Checkpoint.create ~path ~format:!cache_format () in
       let cache, quarantine =
@@ -83,8 +85,8 @@ let make_engine () =
             (cache, quarantine)
         | None -> (Cache.create (), Quarantine.create ())
       in
-      Engine.create ~jobs:!jobs ~backend:!backend ~cache ~quarantine
-        ~policy:(policy ()) ~checkpoint:ck ()
+      Engine.create ~jobs:!jobs ~nodes:!jobs ~backend:!backend ~cache
+        ~quarantine ~policy:(policy ()) ~checkpoint:ck ()
 
 let lab = lazy (Lab.create ~engine:(make_engine ()) ())
 
@@ -430,9 +432,9 @@ let run_json_bench () =
   let platform = Ft_prog.Platform.Broadwell in
   let program = Option.get (Ft_suite.Suite.find "363.swim") in
   let input = Ft_suite.Suite.tuning_input platform program in
-  (* 1a. sharded tune: coordinator/worker fleet.  Runs first — the
-     sharded backend forks node processes, which is illegal once this
-     process has spawned a domain (the solo tune may, with --jobs). *)
+  (* 1a. sharded tune on forked workers.  Runs first — the sharded
+     backend forks, which is illegal once this process has spawned a
+     domain (the solo tune may, with --jobs). *)
   let shard_nodes = 4 in
   let shard_result, shard_wall =
     let engine =
@@ -453,7 +455,8 @@ let run_json_bench () =
     (float_of_int shard_result.Funcytuner.Result.evaluations /. shard_wall);
   (* 1b. solo tune: wall clock, evaluation rate, cache hit rate *)
   let engine =
-    Ft_engine.Engine.create ~jobs:!jobs ~backend:!backend ~policy:(policy ()) ()
+    Ft_engine.Engine.create ~jobs:!jobs ~nodes:!jobs ~backend:!backend
+      ~policy:(policy ()) ()
   in
   let t0 = Unix.gettimeofday () in
   let session =
@@ -678,7 +681,9 @@ let set_jobs = int_flag ~flag:"--jobs" ~min_v:1 jobs
 let set_backend s =
   match Ft_engine.Backend.of_name s with
   | Some b -> backend := b
-  | None -> usage_error "--backend expects 'domains' or 'processes', got '%s'" s
+  | None ->
+      usage_error
+        "--backend expects 'domains', 'processes' or 'sharded', got '%s'" s
 
 let set_fault_rate s =
   match float_of_string_opt s with
@@ -765,7 +770,6 @@ let parse_args argv =
   go [] (List.tl (Array.to_list argv))
 
 let () =
-  Ft_shard.Shard.install ();
   let names = parse_args Sys.argv in
   if !json_out then begin
     if names <> [] then

@@ -105,10 +105,9 @@ let backend_t =
     & info [ "backend" ] ~docv:"BACKEND"
         ~doc:
           "Evaluation substrate: $(b,domains) (default; shared-memory OCaml \
-           domains), $(b,processes) (a pool of forked workers — a \
-           crashing evaluation loses one worker, never the search) or \
-           $(b,sharded) (a coordinator over $(b,--nodes) forked node \
-           processes with pre-partitioned shards and work stealing).  Tune \
+           domains), $(b,processes) (a pool of $(b,--jobs) forked workers — \
+           a crashing evaluation loses one worker, never the search) or \
+           $(b,sharded) (the same forked pool, sized by $(b,--nodes)).  Tune \
            output and logical traces are byte-identical across backends.")
 
 let kill_workers_t =
@@ -117,8 +116,8 @@ let kill_workers_t =
     & opt (some (bounded_int_arg ~what:"kill-workers-after" ~min_v:0)) None
     & info [ "kill-workers-after" ] ~docv:"N"
         ~doc:
-          "Testing hook ($(b,--backend processes) only): in each batch's \
-           first round, one worker SIGKILLs itself after completing \
+          "Testing hook ($(b,--backend processes) or $(b,sharded)): in each \
+           batch's first round, one worker SIGKILLs itself after completing \
            $(docv) jobs, exercising crash recovery; results still match \
            an uninterrupted run.")
 
@@ -128,22 +127,9 @@ let nodes_t =
     & opt (bounded_int_arg ~what:"nodes" ~min_v:1) 1
     & info [ "nodes" ] ~docv:"N"
         ~doc:
-          "Node count for $(b,--backend sharded) (default 1): the \
-           coordinator pre-partitions each batch into $(docv) contiguous \
-           shards, one per forked node, rebalanced by work stealing.  \
-           Results are bit-identical for any value.")
-
-let kill_node_t =
-  Arg.(
-    value
-    & opt (some (bounded_int_arg ~what:"kill-node-after" ~min_v:0)) None
-    & info [ "kill-node-after" ] ~docv:"N"
-        ~doc:
-          "Testing hook ($(b,--backend sharded) only): in each batch's \
-           first round, node 0 SIGKILLs itself after completing $(docv) \
-           jobs — its unfed shard migrates to surviving nodes and its \
-           in-flight job retries; results still match an uninterrupted \
-           run.")
+          "Worker count for $(b,--backend sharded) (default 1): each batch \
+           runs on $(docv) forked worker processes.  Results are \
+           bit-identical for any value.")
 
 let shared_cache_t =
   Arg.(
@@ -385,13 +371,12 @@ let policy_of_resilience r =
    policy and, with --checkpoint, attach the snapshot file — resuming from
    it when it already exists.  Resume chatter goes to stderr so stdout
    stays byte-comparable across resumed runs. *)
-let make_engine ~jobs ?backend ?kill_workers_after ?nodes ?kill_node_after
-    ?trace r =
+let make_engine ~jobs ?backend ?kill_workers_after ?nodes ?trace r =
   let policy = policy_of_resilience r in
   match r.checkpoint with
   | None ->
-      Engine.create ~jobs ?backend ?kill_workers_after ?nodes
-        ?kill_node_after ~policy ?trace ()
+      Engine.create ~jobs ?backend ?kill_workers_after ?nodes ~policy ?trace
+        ()
   | Some path ->
       let ck = Checkpoint.create ~path ~format:r.cache_format () in
       let cache, quarantine =
@@ -405,8 +390,8 @@ let make_engine ~jobs ?backend ?kill_workers_after ?nodes ?kill_node_after
             (cache, quarantine)
         | None -> (Cache.create (), Quarantine.create ())
       in
-      Engine.create ~jobs ?backend ?kill_workers_after ?nodes
-        ?kill_node_after ~cache ~quarantine ~policy ~checkpoint:ck ?trace ()
+      Engine.create ~jobs ?backend ?kill_workers_after ?nodes ~cache
+        ~quarantine ~policy ~checkpoint:ck ?trace ()
 
 (* --shared-cache: one read-merge-write against the shared file at startup
    (adopting whatever other processes committed) and one at exit
@@ -599,12 +584,11 @@ let tune_cmd =
              budget.")
   in
   let run program platform seed pool jobs backend kill_workers nodes
-      kill_node shared_cache stats resilience tspec algo top_x budget
-      warm_start =
+      shared_cache stats resilience tspec algo top_x budget warm_start =
     let trace = make_trace tspec in
     let engine =
-      make_engine ~jobs ~backend ?kill_workers_after:kill_workers ~nodes
-        ?kill_node_after:kill_node ?trace resilience
+      make_engine ~jobs ~backend ?kill_workers_after:kill_workers ~nodes ?trace
+        resilience
     in
     adopt_shared_cache engine ~format:resilience.cache_format shared_cache;
     arm_die_after engine
@@ -702,7 +686,7 @@ let tune_cmd =
     (Cmd.info "tune" ~doc:"Run one auto-tuning algorithm")
     Term.(
       const run $ program_t $ platform_t $ seed_t $ pool_t $ jobs_t
-      $ backend_t $ kill_workers_t $ nodes_t $ kill_node_t $ shared_cache_t
+      $ backend_t $ kill_workers_t $ nodes_t $ shared_cache_t
       $ stats_t $ resilience_t $ trace_spec_t $ algo_t $ top_x_t $ budget_t
       $ warm_start_t)
 
@@ -816,7 +800,7 @@ let selfcheck_cmd =
     if not (Ft_serve.Servecheck.passed outcome) then exit 1
   in
   let run program platform seed pool jobs backend kill_workers nodes
-      kill_node resilience algos_selected kill_at serve =
+      resilience algos_selected kill_at serve =
     if serve then run_serve_oracle program platform seed pool jobs backend
       resilience
     else begin
@@ -847,8 +831,7 @@ let selfcheck_cmd =
           in
           let make_engine ~cache ~quarantine ~checkpoint ~trace =
             Engine.create ~jobs ~backend ?kill_workers_after:kill_workers
-              ~nodes ?kill_node_after:kill_node ~cache ~quarantine ~policy
-              ?checkpoint ?trace ()
+              ~nodes ~cache ~quarantine ~policy ?checkpoint ?trace ()
           in
           let search engine =
             let session =
@@ -890,7 +873,7 @@ let selfcheck_cmd =
           and ignored here.")
     Term.(
       const run $ program_t $ platform_t $ seed_t $ pool_t $ jobs_t
-      $ backend_t $ kill_workers_t $ nodes_t $ kill_node_t $ resilience_t
+      $ backend_t $ kill_workers_t $ nodes_t $ resilience_t
       $ algos_t $ kill_at_t $ serve_t)
 
 (* --- experiment ------------------------------------------------------- *)
@@ -930,12 +913,12 @@ let experiment_cmd =
           ~doc:"fig1 fig5a fig5b fig5c fig6 fig7a fig7b fig8 fig9 tab1 tab2 \
                 tab3 ablations faults (default: fig5c).")
   in
-  let run seed pool jobs backend kill_workers nodes kill_node shared_cache
-      stats resilience tspec csv_dir names =
+  let run seed pool jobs backend kill_workers nodes shared_cache stats
+      resilience tspec csv_dir names =
     let trace = make_trace tspec in
     let engine =
-      make_engine ~jobs ~backend ?kill_workers_after:kill_workers ~nodes
-        ?kill_node_after:kill_node ?trace resilience
+      make_engine ~jobs ~backend ?kill_workers_after:kill_workers ~nodes ?trace
+        resilience
     in
     adopt_shared_cache engine ~format:resilience.cache_format shared_cache;
     arm_die_after engine
@@ -993,7 +976,7 @@ let experiment_cmd =
     (Cmd.info "experiment" ~doc:"Regenerate paper tables and figures")
     Term.(
       const run $ seed_t $ pool_t $ jobs_t $ backend_t $ kill_workers_t
-      $ nodes_t $ kill_node_t $ shared_cache_t $ stats_t $ resilience_t
+      $ nodes_t $ shared_cache_t $ stats_t $ resilience_t
       $ trace_spec_t $ csv_dir_t $ names_t)
 
 (* --- report ------------------------------------------------------------ *)
@@ -1117,8 +1100,8 @@ let serve_cmd =
           ~doc:"Respawns the supervisor allows (default 16).")
   in
   let run socket max_queue progress_every jobs backend kill_workers nodes
-      kill_node stats resilience tspec state_dir die_after_requests
-      poison_threshold checkpoint_every supervise respawn_budget =
+      stats resilience tspec state_dir die_after_requests poison_threshold
+      checkpoint_every supervise respawn_budget =
     (* Everything engine-flavoured happens inside [daemon] so that under
        --supervise the forking supervisor parent never spawns a domain. *)
     let daemon ~generation:_ =
@@ -1128,15 +1111,14 @@ let serve_cmd =
         | None ->
             let engine =
               make_engine ~jobs ~backend ?kill_workers_after:kill_workers
-                ~nodes ?kill_node_after:kill_node ?trace resilience
+                ~nodes ?trace resilience
             in
             (Engine.telemetry engine, Ft_serve.Runner.make ~engine)
         | Some dir ->
             let policy = policy_of_resilience resilience in
             let make_engine ?cache ?quarantine ?checkpoint () =
               Engine.create ~jobs ~backend ?kill_workers_after:kill_workers
-                ~nodes ?kill_node_after:kill_node ?cache ?quarantine ~policy
-                ?checkpoint ?trace ()
+                ~nodes ?cache ?quarantine ~policy ?checkpoint ?trace ()
             in
             ( Ft_engine.Telemetry.create (),
               Ft_serve.Runner.make_durable ~make_engine ~state_dir:dir
@@ -1195,7 +1177,7 @@ let serve_cmd =
           and exits.")
     Term.(
       const run $ socket_t $ max_queue_t $ progress_every_t $ jobs_t
-      $ backend_t $ kill_workers_t $ nodes_t $ kill_node_t $ stats_t
+      $ backend_t $ kill_workers_t $ nodes_t $ stats_t
       $ resilience_t $ trace_spec_t $ state_dir_t $ die_after_requests_t
       $ poison_threshold_t $ checkpoint_every_t $ supervise_t
       $ respawn_budget_t)
@@ -1514,8 +1496,6 @@ let loadgen_cmd =
       $ benchmarks_t $ wait_t $ reconnect_t $ max_attempts_t)
 
 let () =
-  (* Enable --backend sharded everywhere an engine can be built. *)
-  Ft_shard.Shard.install ();
   let doc = "FuncyTuner: per-loop compilation auto-tuning (ICPP'19 reproduction)" in
   let info = Cmd.info "funcy" ~version:"1.0.0" ~doc in
   exit

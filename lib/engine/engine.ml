@@ -104,7 +104,6 @@ type t = {
   backend : Backend.t;
   kill_workers_after : int option;
   nodes : int;
-  kill_node_after : int option;
   cache : Cache.t;
   telemetry : Telemetry.t;
   policy : policy;
@@ -115,8 +114,8 @@ type t = {
 }
 
 let create ?(jobs = 1) ?(backend = Backend.default) ?kill_workers_after
-    ?(nodes = 1) ?kill_node_after ?cache ?telemetry ?(policy = default_policy)
-    ?quarantine ?checkpoint ?trace () =
+    ?(nodes = 1) ?cache ?telemetry ?(policy = default_policy) ?quarantine
+    ?checkpoint ?trace () =
   if jobs < 1 then invalid_arg "Engine.create: jobs must be >= 1";
   if nodes < 1 then invalid_arg "Engine.create: nodes must be >= 1";
   if policy.repeats < 1 then
@@ -129,15 +128,11 @@ let create ?(jobs = 1) ?(backend = Backend.default) ?kill_workers_after
   | Some k when k < 0 ->
       invalid_arg "Engine.create: kill_workers_after must be >= 0"
   | _ -> ());
-  (match kill_node_after with
-  | Some k when k < 0 -> invalid_arg "Engine.create: kill_node_after must be >= 0"
-  | _ -> ());
   {
     jobs;
     backend;
     kill_workers_after;
     nodes;
-    kill_node_after;
     cache = (match cache with Some c -> c | None -> Cache.create ());
     telemetry =
       (match telemetry with Some t -> t | None -> Telemetry.create ());
@@ -523,69 +518,23 @@ let merge_shipment t sh =
   | _ -> ());
   Telemetry.tick t.telemetry
 
-(* -- the sharded backend's registry ------------------------------------- *)
-
-(* [Ft_shard] implements the coordinator/node topology but depends on
-   this library (Ipc, Procpool's failure taxonomy, Cache_codec), so the
-   engine cannot call it by name.  Instead the shard library installs
-   its polymorphic map here at program start ([Ft_shard.Shard.install]);
-   the field is universally quantified so one installation serves every
-   instantiation the engine needs. *)
-type node_mapper = {
-  map :
-    'a 'b.
-    nodes:int ->
-    ?on_result:(int -> ('b, Procpool.failure) Stdlib.result -> unit) ->
-    ?kill_first_node_after:int ->
-    ('a -> 'b) ->
-    'a array ->
-    ('b, Procpool.failure) Stdlib.result array;
-}
-
-let installed_node_mapper : node_mapper option ref = ref None
-let install_node_mapper m = installed_node_mapper := Some m
-
-let node_mapper () =
-  match !installed_node_mapper with
-  | Some m -> m
-  | None ->
-      failwith
-        "Engine: --backend sharded requested but no node mapper is installed \
-         (call Ft_shard.Shard.install () at startup)"
-
-(* On the sharded backend a node ships its cache news as Cache_codec
-   binary v2 frames — the cluster wire format is the cache's own commit
-   format, not Marshal — so the coordinator can absorb deltas with the
-   same decoder that reads cache files.  The codec is bit-exact on
-   floats, so transcoding preserves the determinism contract. *)
-let encode_cache_frames entries =
-  let buf = Buffer.create 256 in
-  List.iter (fun (k, s) -> Cache_codec.encode_record buf k s) entries;
-  Buffer.contents buf
-
-let decode_cache_frames frames =
-  let d =
-    Cache_codec.decode ~warn:(fun ~line:_ ~reason:_ -> ()) ~pos:0 frames
-  in
-  if d.Cache_codec.torn || d.Cache_codec.skipped > 0 then
-    failwith "Engine: torn cache-delta frames in a node shipment";
-  d.Cache_codec.entries
-
-(* Run a batch on a pool of forked workers ([pool_map] abstracts over
-   Procpool and the sharded coordinator).  Crashed jobs are re-run in
-   fresh pool rounds — never in-parent: a job that deterministically
-   kills its worker must stay isolated — up to [max_retries] times;
-   exhaustion surfaces as [Worker_crashed] and quarantines the key.  The
-   chaos hook is armed only on the first round, so the retried job's
-   re-run is never re-killed and the run converges to the uninterrupted
-   result. *)
-let pooled_outcomes t ~pool_map ~toolchain ?outline ~program ~input jobs_array
-    =
+(* Run a batch on the forked-worker pool: [jobs] workers on the
+   processes backend, [nodes] on the sharded one.  Crashed jobs are
+   re-run in fresh pool rounds — never in-parent: a job that
+   deterministically kills its worker must stay isolated — up to
+   [max_retries] times; exhaustion surfaces as [Worker_crashed] and
+   quarantines the key.  The chaos hook is armed only on the first round,
+   so the retried job's re-run is never re-killed and the run converges
+   to the uninterrupted result. *)
+let pooled_outcomes t ~toolchain ?outline ~program ~input jobs_array =
   let n = Array.length jobs_array in
   Telemetry.expect t.telemetry n;
   let batch = Trace.batch t.trace ~size:n in
   let outcomes = Array.make n None in
   let f = worker_shipment t ~toolchain ?outline ~program ~input ~batch in
+  let workers =
+    match t.backend with Backend.Sharded -> t.nodes | _ -> t.jobs
+  in
   let run_round ~chaos indices =
     let idx = Array.of_list indices in
     let items = Array.map (fun i -> (i, jobs_array.(i))) idx in
@@ -593,7 +542,10 @@ let pooled_outcomes t ~pool_map ~toolchain ?outline ~program ~input jobs_array
       | Stdlib.Ok sh -> merge_shipment t sh
       | Stdlib.Error _ -> ()
     in
-    let res = pool_map ~chaos ~on_result f items in
+    let kill = if chaos then t.kill_workers_after else None in
+    let res =
+      Procpool.map ~workers ~on_result ?kill_first_worker_after:kill f items
+    in
     let crashed = ref [] in
     Array.iteri
       (fun slot r ->
@@ -633,48 +585,12 @@ let pooled_outcomes t ~pool_map ~toolchain ?outline ~program ~input jobs_array
   if n > 0 then rounds 0 ~chaos:true (List.init n Fun.id);
   Array.map (function Some o -> o | None -> assert false) outcomes
 
-(* The Procpool leg: workers drain one shared cursor; shipments travel
-   as plain Marshal frames. *)
-let procpool_map t ~chaos ~on_result f items =
-  let kill = if chaos then t.kill_workers_after else None in
-  Procpool.map ~workers:t.jobs ~on_result ?kill_first_worker_after:kill f
-    items
-
-(* The sharded leg: the installed coordinator pre-partitions [items]
-   into per-node shards and rebalances by stealing; each shipment's
-   cache news crosses the wire as codec v2 frames instead of Marshal,
-   transcoded here so the coordinator stays shipment-agnostic. *)
-let sharded_map t ~chaos ~on_result f items =
-  let m = node_mapper () in
-  let kill = if chaos then t.kill_node_after else None in
-  let encode item =
-    let sh = f item in
-    (encode_cache_frames sh.sh_cache, { sh with sh_cache = [] })
-  in
-  let decode (frames, sh) = { sh with sh_cache = decode_cache_frames frames } in
-  let on_result slot r = on_result slot (Stdlib.Result.map decode r) in
-  m.map ~nodes:t.nodes ~on_result ?kill_first_node_after:kill encode items
-  |> Array.map (Stdlib.Result.map decode)
-
-let process_outcomes t ~toolchain ?outline ~program ~input jobs_array =
-  pooled_outcomes t ~pool_map:(procpool_map t) ~toolchain ?outline ~program
-    ~input jobs_array
-
-let shard_outcomes t ~toolchain ?outline ~program ~input jobs_array =
-  pooled_outcomes t ~pool_map:(sharded_map t) ~toolchain ?outline ~program
-    ~input jobs_array
-
 (* -- batch entry points ------------------------------------------------- *)
 
 let measure_batch t ~toolchain ?outline ~program ~input jobs_array =
   match t.backend with
-  | Backend.Processes ->
-      process_outcomes t ~toolchain ?outline ~program ~input jobs_array
-      |> Array.map (function
-           | Ok m -> m
-           | outcome -> raise (Pool.Worker_failure (Job_failed outcome)))
-  | Backend.Sharded ->
-      shard_outcomes t ~toolchain ?outline ~program ~input jobs_array
+  | Backend.Processes | Backend.Sharded ->
+      pooled_outcomes t ~toolchain ?outline ~program ~input jobs_array
       |> Array.map (function
            | Ok m -> m
            | outcome -> raise (Pool.Worker_failure (Job_failed outcome)))
@@ -697,10 +613,8 @@ let measure_list t ~toolchain ?outline ~program ~input jobs =
 
 let try_measure_batch t ~toolchain ?outline ~program ~input jobs_array =
   match t.backend with
-  | Backend.Processes ->
-      process_outcomes t ~toolchain ?outline ~program ~input jobs_array
-  | Backend.Sharded ->
-      shard_outcomes t ~toolchain ?outline ~program ~input jobs_array
+  | Backend.Processes | Backend.Sharded ->
+      pooled_outcomes t ~toolchain ?outline ~program ~input jobs_array
   | Backend.Domains ->
       Telemetry.expect t.telemetry (Array.length jobs_array);
       let batch = Trace.batch t.trace ~size:(Array.length jobs_array) in

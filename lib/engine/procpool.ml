@@ -3,10 +3,11 @@
    [map] forks up to [workers] children *after* the job array and the
    closure exist, so both are inherited through fork-time memory and only
    plain data ever crosses a pipe: the parent feeds job indices
-   (length-prefixed Marshal frames, {!Ipc}) and each worker replies with
-   [(index, payload)] frames.  Workers are fed one job at a time from a
-   shared cursor, so scheduling is dynamic exactly like the domain
-   {!Pool}'s queue.
+   (length-prefixed Marshal frames, {!Ft_framing.Framing}) and each worker
+   replies with [(index, payload)] frames.  Workers are fed one job at a
+   time from a shared cursor, so scheduling is dynamic exactly like the
+   domain {!Pool}'s queue.  This is the engine's one forked-worker
+   substrate: [--backend processes] and [--backend sharded] both run on it.
 
    Crash isolation is the point: a worker that dies — killed by a
    signal, a nonzero exit, or a torn reply frame — loses only its
@@ -15,6 +16,8 @@
    proceeds.  The pool never retries a crashed job itself: retry policy
    belongs to the engine, which re-runs deterministic jobs and gets
    bit-identical values. *)
+
+module Framing = Ft_framing.Framing
 
 type crash = { pid : int; detail : string }
 
@@ -28,6 +31,20 @@ let failure_to_string = function
   | Raised msg -> "raised " ^ msg
   | Crashed c -> crash_to_string c
 
+(* Fold the framing layer's error taxonomy into the two cases the crash
+   handling below distinguishes: a clean end-of-stream versus a torn
+   stream, which means the peer must be presumed dead. *)
+let read fd =
+  match Framing.read_value fd with
+  | Ok v -> Ok v
+  | Error Framing.Eof -> Error `Eof
+  | Error (Framing.Torn { context; got; expected }) ->
+      Error
+        (`Torn (Printf.sprintf "short %s (%d/%d bytes)" context got expected))
+  | Error (Framing.Oversized { claimed; _ }) ->
+      Error (`Torn (Printf.sprintf "implausible frame length %d" claimed))
+  | Error (Framing.Garbled reason) -> Error (`Torn reason)
+
 (* The one frame type of the parent->worker direction; worker->parent
    frames are [(index, ('b, string) result)].  A [kill] job instructs the
    worker to SIGKILL itself *before* running the job: the deterministic
@@ -37,7 +54,7 @@ type request = { index : int; kill : bool }
 type worker = {
   pid : int;
   job_w : Unix.file_descr;
-  job_writer : Ipc.Writer.t;  (* scratch-buffer reuse across feeds *)
+  job_writer : Framing.Writer.t;  (* scratch-buffer reuse across feeds *)
   res_r : Unix.file_descr;
   mutable inflight : int option;
   mutable fed : int;
@@ -70,9 +87,9 @@ let reap pid =
 let worker_loop f a job_r res_w =
   (* One reply frame per job: marshal them all through one reusable
      scratch buffer instead of allocating per reply. *)
-  let res = Ipc.Writer.create res_w in
+  let res = Framing.Writer.create res_w in
   let rec loop () =
-    match Ipc.read job_r with
+    match read job_r with
     | Error `Eof -> Unix._exit 0
     | Error (`Torn _) -> Unix._exit 3
     | Ok { index; kill } ->
@@ -82,7 +99,7 @@ let worker_loop f a job_r res_w =
           | v -> Stdlib.Ok v
           | exception e -> Stdlib.Error (Printexc.to_string e)
         in
-        (match Ipc.Writer.write res (index, payload) with
+        (match Framing.Writer.write_value res (index, payload) with
         | () -> ()
         | exception _ -> Unix._exit 2);
         loop ()
@@ -138,7 +155,7 @@ let map ~workers ?on_result ?kill_first_worker_after f a =
           close_noerr job_r;
           close_noerr res_w;
           let w =
-            { pid; job_w; job_writer = Ipc.Writer.create job_w; res_r;
+            { pid; job_w; job_writer = Framing.Writer.create job_w; res_r;
               inflight = None; fed = 0; alive = true; chaos_designee }
           in
           live := w :: !live
@@ -193,7 +210,7 @@ let map ~workers ?on_result ?kill_first_worker_after f a =
         in
         w.fed <- w.fed + 1;
         w.inflight <- Some i;
-        match Ipc.Writer.write w.job_writer { index = i; kill } with
+        match Framing.Writer.write_value w.job_writer { index = i; kill } with
         | () -> ()
         | exception _ ->
             (* Dead before it could read: we cannot know how much of the
@@ -257,7 +274,7 @@ let map ~workers ?on_result ?kill_first_worker_after f a =
           (fun fd ->
             match List.find_opt (fun w -> w.res_r = fd) watched with
             | Some w when w.alive -> (
-                match Ipc.read fd with
+                match read fd with
                 | Ok (i, payload) ->
                     w.inflight <- None;
                     finish i

@@ -1,12 +1,17 @@
 (** A fixed-size pool of forked worker processes — the crash-isolated
-    sibling of the domain {!Pool}.
+    sibling of the domain {!Pool}, and the engine's one forked-worker
+    substrate: [--backend processes] sizes it by [--jobs],
+    [--backend sharded] by [--nodes].
 
     {!map} forks its workers {e after} the closure and job array exist,
     so both sides of the protocol share them through fork-time memory
-    and the pipes carry only plain data ({!Ipc} frames: job indices
-    down, [(index, payload)] replies up).  Scheduling is dynamic — each
-    worker is fed the next unclaimed index as it goes idle — and results
-    land by submission index, like the domain pool.
+    and the pipes carry only plain data (length-prefixed Marshal frames
+    of {!Ft_framing.Framing}: job indices down, [(index, payload)]
+    replies up).  A frame that ends or desynchronizes mid-payload is a
+    {e torn} frame, the signature of a worker that died mid-write.
+    Scheduling is dynamic — each worker is fed the next unclaimed index
+    as it goes idle — and results land by submission index, like the
+    domain pool.
 
     {2 Crash taxonomy}
 
@@ -29,7 +34,7 @@
 
 type crash = { pid : int; detail : string }
 (** [detail] is human-readable: ["killed by SIGKILL"], ["exited 3"],
-    ["torn frame: short payload (12/96 bytes); killed by SIGKILL"]. *)
+    ["short payload (12/96 bytes); killed by SIGKILL"]. *)
 
 type failure =
   | Raised of string

@@ -5,9 +5,8 @@
     end-of-stream (EOF exactly on a frame boundary: the peer closed or
     exited) from a {e torn} frame (EOF — or desynchronization — inside a
     frame: the peer died mid-write), the distinction both the process
-    pool's crash taxonomy ({!Ft_engine.Procpool} via {!Ft_engine.Ipc})
-    and the tuning server's protocol layer ({!Ft_serve.Protocol}) are
-    built on.
+    pool's crash taxonomy ({!Ft_engine.Procpool}) and the tuning
+    server's protocol layer ({!Ft_serve.Protocol}) are built on.
 
     Two payload disciplines share the same wire format:
 

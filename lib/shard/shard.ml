@@ -1,347 +1,8 @@
-(* Coordinator + forked worker nodes with work stealing.
-
-   [map] is the sharded sibling of {!Ft_engine.Procpool.map}: instead of
-   feeding a shared cursor one index at a time, the coordinator
-   pre-partitions the job array into contiguous shards — node [k] of [N]
-   owns [[k*n/N, (k+1)*n/N)] — and each node drains its own shard.  A
-   node that runs dry {e steals} the tail half of the largest live
-   backlog (orphaned work from dead nodes first), so a straggler shard
-   rebalances across the fleet instead of serializing the round.
-
-   The wire protocol, crash taxonomy and chaos hook are Procpool's,
-   deliberately: nodes are forked after the closure and array exist,
-   pipes carry only {!Ft_engine.Ipc} frames ([{index; kill}] down,
-   [(index, payload)] up), a dead node surfaces its in-flight job as
-   [Error (Crashed _)] and is respawned under a bounded budget, and
-   [kill_first_node_after] arms node 0 to SIGKILL itself on its
-   [(k+1)]-th feed.  Queued (not yet fed) jobs of a dead node are never
-   lost — they move to the orphan pool and the next idle node adopts
-   them — so only in-flight work ever needs the engine's retry.
-
-   Job-to-node placement is scheduling-dependent and deliberately
-   unobservable: results land by submission index, and the engine's
-   shipment merge is order-canonical, so any interleaving of healthy and
-   stolen work yields byte-identical output. *)
-
-module Ipc = Ft_engine.Ipc
-module Procpool = Ft_engine.Procpool
-
-(* Parent->node frames; node->parent frames are
-   [(index, ('b, string) result)].  [kill] instructs the node to SIGKILL
-   itself before running the job: the chaos hook behind
-   [--kill-node-after]. *)
-type request = { index : int; kill : bool }
-
-type node = {
-  id : int;  (* stable identity for deterministic victim tie-breaks *)
-  pid : int;
-  job_w : Unix.file_descr;
-  job_writer : Ipc.Writer.t;  (* scratch-buffer reuse across feeds *)
-  res_r : Unix.file_descr;
-  mutable queue : int list;  (* owned shard; head is fed next *)
-  mutable inflight : int option;
-  mutable fed : int;
-  mutable alive : bool;
-  chaos_designee : bool;
-}
-
-let close_noerr fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-let signal_name s =
-  if s = Sys.sigkill then "SIGKILL"
-  else if s = Sys.sigsegv then "SIGSEGV"
-  else if s = Sys.sigterm then "SIGTERM"
-  else if s = Sys.sigabrt then "SIGABRT"
-  else if s = Sys.sigbus then "SIGBUS"
-  else Printf.sprintf "signal %d" s
-
-let reap pid =
-  match Unix.waitpid [] pid with
-  | _, Unix.WEXITED c -> Printf.sprintf "exited %d" c
-  | _, Unix.WSIGNALED s -> Printf.sprintf "killed by %s" (signal_name s)
-  | _, Unix.WSTOPPED s -> Printf.sprintf "stopped by %s" (signal_name s)
-  | exception Unix.Unix_error _ -> "already reaped"
-
-(* The node child: read request frames until EOF (clean retirement), run
-   the inherited closure, reply.  Always [Unix._exit], never
-   [Stdlib.exit]: the child inherited the parent's channel buffers at
-   fork and must not flush them a second time. *)
-let node_loop f a job_r res_w =
-  let res = Ipc.Writer.create res_w in
-  let rec loop () =
-    match Ipc.read job_r with
-    | Error `Eof -> Unix._exit 0
-    | Error (`Torn _) -> Unix._exit 3
-    | Ok { index; kill } ->
-        if kill then Unix.kill (Unix.getpid ()) Sys.sigkill;
-        let payload =
-          match f a.(index) with
-          | v -> Stdlib.Ok v
-          | exception e -> Stdlib.Error (Printexc.to_string e)
-        in
-        (match Ipc.Writer.write res (index, payload) with
-        | () -> ()
-        | exception _ -> Unix._exit 2);
-        loop ()
-  in
-  loop ()
+(* [--backend sharded] runs on the engine's one forked-worker pool; these
+   entry points only keep older callers linking. *)
 
 let map ~nodes ?on_result ?kill_first_node_after f a =
-  if nodes < 1 then invalid_arg "Shard.map: nodes must be >= 1";
-  let n = Array.length a in
-  let results = Array.make n None in
-  if n = 0 then [||]
-  else begin
-    let node_count = min nodes n in
-    (* A node dying between jobs raises EPIPE on the next feed; that
-       must reach our crash handling, not kill the coordinator. *)
-    let old_sigpipe =
-      try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-      with Invalid_argument _ -> None
-    in
-    let live = ref [] in
-    let orphans = ref [] in  (* unfed jobs inherited from dead nodes *)
-    let chaos_fired = ref false in
-    let completed = ref 0 in
-    let respawns = ref 0 in
-    (* Every respawn is paid for by a crash, and every crash consumes at
-       most its in-flight job, so respawns are naturally bounded; the
-       explicit budget guards the no-in-flight corner (a node dying
-       before its first feed). *)
-    let respawn_budget = (2 * node_count) + n in
-    let next_id = ref node_count in
-    let finish i r =
-      results.(i) <- Some r;
-      incr completed;
-      match on_result with Some cb -> cb i r | None -> ()
-    in
-    (* Contiguous initial partition: node [k] owns [k*n/N, (k+1)*n/N). *)
-    let shard k =
-      let lo = k * n / node_count and hi = (k + 1) * n / node_count in
-      List.init (hi - lo) (fun j -> lo + j)
-    in
-    let remaining () =
-      List.fold_left
-        (fun acc w -> acc + List.length w.queue)
-        (List.length !orphans) !live
-    in
-    let spawn ~id ~queue ~chaos_designee () =
-      let job_r, job_w = Unix.pipe () in
-      let res_r, res_w = Unix.pipe () in
-      flush stdout;
-      flush stderr;
-      match Unix.fork () with
-      | 0 ->
-          close_noerr job_w;
-          close_noerr res_r;
-          (* Siblings' parent-side fds were inherited too; holding their
-             write ends open would mask a sibling's EOF. *)
-          List.iter
-            (fun w ->
-              close_noerr w.job_w;
-              close_noerr w.res_r)
-            !live;
-          node_loop f a job_r res_w
-      | pid ->
-          close_noerr job_r;
-          close_noerr res_w;
-          let w =
-            { id; pid; job_w; job_writer = Ipc.Writer.create job_w; res_r;
-              queue; inflight = None; fed = 0; alive = true;
-              chaos_designee }
-          in
-          live := w :: !live
-    in
-    let mark_dead w ~torn =
-      w.alive <- false;
-      live := List.filter (fun x -> x != w) !live;
-      close_noerr w.job_w;
-      close_noerr w.res_r;
-      (* Unfed shard of a dead node is intact work, not a casualty: it
-         moves to the orphan pool for the next idle node to adopt. *)
-      orphans := !orphans @ w.queue;
-      w.queue <- [];
-      if torn <> None then (try Unix.kill w.pid Sys.sigkill with _ -> ());
-      let status = reap w.pid in
-      let detail =
-        match torn with Some d -> d ^ "; " ^ status | None -> status
-      in
-      match w.inflight with
-      | Some i ->
-          w.inflight <- None;
-          finish i (Stdlib.Error (Procpool.Crashed { pid = w.pid; detail }))
-      | None -> ()
-    in
-    (* While the chaos hook is armed but unfired, non-designees may not
-       drain the last jobs: the designee needs [k] completions plus one
-       more feed for the kill to fire, and under an unlucky scheduler
-       eager siblings could otherwise steal the whole array out from
-       under it — leaving an armed kill that silently never happens. *)
-    let reserved_for_designee w =
-      match kill_first_node_after with
-      | Some k when (not !chaos_fired) && not w.chaos_designee -> (
-          match
-            List.find_opt (fun x -> x.chaos_designee && x.alive) !live
-          with
-          | Some d -> max 0 (k + 1 - d.fed)
-          | None -> 0)
-      | _ -> 0
-    in
-    (* A dry node adopts the orphan pool outright, else steals the tail
-       half of the largest live backlog (smallest node id on ties, so
-       victim choice is a pure function of queue state). *)
-    let steal w =
-      if !orphans <> [] then begin
-        w.queue <- !orphans;
-        orphans := []
-      end
-      else
-        let victim =
-          List.fold_left
-            (fun best v ->
-              if v == w || v.queue = [] then best
-              else
-                match best with
-                | None -> Some v
-                | Some b ->
-                    let lb = List.length b.queue
-                    and lv = List.length v.queue in
-                    if lv > lb || (lv = lb && v.id < b.id) then Some v
-                    else best)
-            None !live
-        in
-        match victim with
-        | None -> ()
-        | Some v ->
-            let len = List.length v.queue in
-            let keep = len - ((len + 1) / 2) in
-            let rec split i l =
-              if i = 0 then ([], l)
-              else
-                match l with
-                | [] -> ([], [])
-                | x :: rest ->
-                    let kept, stolen = split (i - 1) rest in
-                    (x :: kept, stolen)
-            in
-            let kept, stolen = split keep v.queue in
-            v.queue <- kept;
-            w.queue <- stolen
-    in
-    let feed w =
-      if
-        w.alive && w.inflight = None
-        && remaining () > reserved_for_designee w
-      then begin
-        if w.queue = [] then steal w;
-        match w.queue with
-        | [] -> ()
-        | i :: rest ->
-            w.queue <- rest;
-            let kill =
-              match kill_first_node_after with
-              | Some k
-                when w.chaos_designee && (not !chaos_fired) && w.fed >= k
-                ->
-                  chaos_fired := true;
-                  true
-              | _ -> false
-            in
-            w.fed <- w.fed + 1;
-            w.inflight <- Some i;
-            (match Ipc.Writer.write w.job_writer { index = i; kill } with
-            | () -> ()
-            | exception _ ->
-                (* Dead before it could read: we cannot know how much of
-                   the frame it consumed, so the job counts as crashed;
-                   the engine's retry heals it deterministically. *)
-                mark_dead w ~torn:None)
-      end
-    in
-    let cleanup () =
-      List.iter
-        (fun w ->
-          close_noerr w.job_w;
-          close_noerr w.res_r;
-          (try Unix.kill w.pid Sys.sigkill with _ -> ());
-          ignore (reap w.pid))
-        !live;
-      live := [];
-      match old_sigpipe with
-      | Some h -> (try Sys.set_signal Sys.sigpipe h with _ -> ())
-      | None -> ()
-    in
-    Fun.protect ~finally:cleanup @@ fun () ->
-    for k = node_count - 1 downto 0 do
-      spawn ~id:k ~queue:(shard k) ~chaos_designee:(k = 0) ()
-    done;
-    while !completed < n do
-      (* Keep the fleet at size while unassigned work remains;
-         replacements start dry and steal their way back in. *)
-      while
-        List.length !live < node_count
-        && remaining () > 0
-        && !respawns < respawn_budget
-      do
-        incr respawns;
-        let id = !next_id in
-        incr next_id;
-        spawn ~id ~queue:[] ~chaos_designee:false ()
-      done;
-      List.iter feed (List.filter (fun w -> w.inflight = None) !live);
-      let watched = List.filter (fun w -> w.inflight <> None) !live in
-      if watched = [] then begin
-        (* Nothing in flight and nothing feedable: the fleet is gone and
-           cannot be refilled.  Fail the backlog rather than spin. *)
-        let detail = "no live nodes (respawn budget exhausted)" in
-        let fail_all idxs =
-          List.iter
-            (fun i ->
-              finish i
-                (Stdlib.Error (Procpool.Crashed { pid = 0; detail })))
-            idxs
-        in
-        fail_all !orphans;
-        orphans := [];
-        List.iter
-          (fun w ->
-            fail_all w.queue;
-            w.queue <- [])
-          !live;
-        assert (!completed = n)
-      end
-      else begin
-        let fds = List.map (fun w -> w.res_r) watched in
-        let ready =
-          match Unix.select fds [] [] (-1.0) with
-          | ready, _, _ -> ready
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
-        in
-        List.iter
-          (fun fd ->
-            match List.find_opt (fun w -> w.res_r = fd) watched with
-            | Some w when w.alive -> (
-                match Ipc.read fd with
-                | Ok (i, payload) ->
-                    w.inflight <- None;
-                    finish i
-                      (match payload with
-                      | Stdlib.Ok v -> Stdlib.Ok v
-                      | Stdlib.Error msg ->
-                          Stdlib.Error (Procpool.Raised msg))
-                | Error `Eof -> mark_dead w ~torn:None
-                | Error (`Torn d) -> mark_dead w ~torn:(Some d))
-            | _ -> ())
-          ready
-      end
-    done;
-    Array.map (function Some r -> r | None -> assert false) results
-  end
+  Ft_engine.Procpool.map ~workers:nodes ?on_result
+    ?kill_first_worker_after:kill_first_node_after f a
 
-let install () =
-  Ft_engine.Engine.install_node_mapper
-    {
-      Ft_engine.Engine.map =
-        (fun ~nodes ?on_result ?kill_first_node_after f a ->
-          map ~nodes ?on_result ?kill_first_node_after f a);
-    }
+let install () = ()

@@ -1,26 +1,10 @@
-(** Coordinator/worker sharded evaluation with work stealing — the
-    [--backend sharded] substrate.
+(** Compatibility shim for the [--backend sharded] entry points.
 
-    {!map} pre-partitions the job array into contiguous shards across
-    [nodes] forked node processes (node [k] of [N] owns
-    [[k*n/N, (k+1)*n/N)]); each node drains its own shard, and a node
-    that runs dry steals the tail half of the largest remaining backlog
-    — orphaned work of dead nodes first — so straggler shards rebalance
-    instead of serializing the round.
-
-    Everything else is deliberately {!Ft_engine.Procpool}'s contract:
-    nodes fork {e after} the closure and array exist (only plain
-    {!Ft_engine.Ipc} frames cross the pipes), a dying node surfaces its
-    in-flight job as [Error (Crashed _)] and is replaced under a
-    bounded respawn budget, its unfed shard migrates intact to the
-    orphan pool, and [kill_first_node_after:k] arms node 0 to SIGKILL
-    itself on its [(k+1)]-th feed — the deterministic chaos hook behind
-    [--kill-node-after].  Results land by submission index, so
-    job-to-node placement (including stealing) is unobservable in the
-    output: the engine's determinism contract holds at any node count.
-
-    Like {!Ft_engine.Procpool}, [map] forks — so a process that has ever
-    spawned a domain must not call it. *)
+    [--backend sharded] is a spelling of [--backend processes]: the
+    engine runs both on {!Ft_engine.Procpool}, sized by [--nodes] and
+    [--jobs] respectively.  This library survives only so that existing
+    callers of [Shard.map] and [Shard.install] keep linking; new code
+    should call {!Ft_engine.Procpool.map} directly. *)
 
 val map :
   nodes:int ->
@@ -29,13 +13,10 @@ val map :
   ('a -> 'b) ->
   'a array ->
   ('b, Ft_engine.Procpool.failure) result array
-(** [map ~nodes f a] runs [f] over [a] on up to [nodes] forked node
-    processes (never more than [Array.length a]) and returns per-index
-    results in submission order.  [on_result] fires in the coordinator
-    once per index as each reply (or crash) arrives.
+(** [map ~nodes f a] is [Ft_engine.Procpool.map ~workers:nodes f a];
+    [kill_first_node_after] is the pool's [kill_first_worker_after].
     @raise Invalid_argument if [nodes < 1]. *)
 
 val install : unit -> unit
-(** Register {!map} as {!Ft_engine.Engine}'s node mapper, enabling
-    [--backend sharded].  Call once at program start (the indirection
-    exists so [ft_engine] does not depend on this library). *)
+(** Does nothing: the engine reaches the forked-worker pool directly, so
+    there is nothing left to register. *)

@@ -1,12 +1,11 @@
 (* Tests for the process-isolated evaluation backends (DESIGN.md
-   sections 11 and 17): the Procpool crash taxonomy, the sharded
-   coordinator/worker pool and its work stealing, the differential
+   sections 11 and 17): the Procpool crash taxonomy over both of its
+   entry points (Procpool.map and the Shard.map shim), the differential
    property that the processes AND sharded backends are byte-identical
    to the domains backend — results and logical traces, at any --jobs or
-   --nodes, even while workers or whole nodes are being SIGKILLed
-   mid-batch — and QCheck crash-injection properties for the
-   Atomic_file/Cache persistence layer the multi-process modes rest
-   on. *)
+   --nodes, even while workers are being SIGKILLed mid-batch — and
+   QCheck crash-injection properties for the Atomic_file/Cache
+   persistence layer the multi-process modes rest on. *)
 
 open Ft_prog
 module Backend = Ft_engine.Backend
@@ -51,12 +50,48 @@ let ok_exn = function
   | Stdlib.Ok v -> v
   | Stdlib.Error f -> Alcotest.fail (Procpool.failure_to_string f)
 
-let test_procpool_map_in_order () =
+(* The pool's entry points: [Procpool.map] itself and the [Shard.map]
+   compatibility shim that [--backend sharded] callers still link
+   against.  Each property below is one body run over an entry. *)
+type entry = {
+  name : string;
+  map :
+    'a 'b.
+    workers:int ->
+    ?on_result:(int -> ('b, Procpool.failure) result -> unit) ->
+    ?kill_after:int ->
+    ('a -> 'b) ->
+    'a array ->
+    ('b, Procpool.failure) result array;
+}
+
+let procpool =
+  {
+    name = "procpool";
+    map =
+      (fun ~workers ?on_result ?kill_after f a ->
+        Procpool.map ~workers ?on_result ?kill_first_worker_after:kill_after f
+          a);
+  }
+
+let shard =
+  {
+    name = "shard";
+    map =
+      (fun ~workers ?on_result ?kill_after f a ->
+        Shard.map ~nodes:workers ?on_result ?kill_first_node_after:kill_after f
+          a);
+  }
+
+let map_in_order { name; map } () =
   (* Uneven per-item work, so a dynamic schedule reorders completions:
-     results must still land by submission index, at any worker count. *)
+     results must still land by submission index, at any worker count.
+     Two skews: heavy items scattered ([i mod 9]) and heavy items packed
+     into one contiguous block ([i < 25]), the worst case for any
+     schedule that hands out contiguous runs. *)
   let items = Array.init 100 (fun i -> i) in
-  let work i =
-    let spins = if i mod 9 = 0 then 20000 else 100 in
+  let work heavy i =
+    let spins = if heavy i then 20000 else 100 in
     let acc = ref i in
     for _ = 1 to spins do
       acc := (!acc * 31) mod 65537
@@ -64,179 +99,89 @@ let test_procpool_map_in_order () =
     (i, i * i)
   in
   List.iter
-    (fun workers ->
-      let results = Procpool.map ~workers work items in
-      Alcotest.(check int) "all slots filled" 100 (Array.length results);
-      Array.iteri
-        (fun idx r ->
-          let i, sq = ok_exn r in
-          Alcotest.(check int) "submission order preserved" idx i;
-          Alcotest.(check int) "value correct" (idx * idx) sq)
-        results)
-    [ 1; 4 ]
+    (fun heavy ->
+      List.iter
+        (fun workers ->
+          let results = map ~workers (work heavy) items in
+          Alcotest.(check int) (name ^ ": all slots filled") 100
+            (Array.length results);
+          Array.iteri
+            (fun idx r ->
+              let i, sq = ok_exn r in
+              Alcotest.(check int) (name ^ ": submission order preserved") idx i;
+              Alcotest.(check int) (name ^ ": value correct") (idx * idx) sq)
+            results)
+        [ 1; 3; 4 ])
+    [ (fun i -> i mod 9 = 0); (fun i -> i < 25) ]
 
-let test_procpool_raised_is_isolated () =
+let raised_is_isolated { name; map } () =
   (* A raising closure poisons only its own slot; the worker survives to
      take more jobs (no respawn needed, no sibling loss). *)
   let work i = if i mod 13 = 7 then failwith (string_of_int i) else i + 1 in
-  let results = Procpool.map ~workers:3 work (Array.init 80 (fun i -> i)) in
+  let results = map ~workers:3 work (Array.init 80 (fun i -> i)) in
   Array.iteri
     (fun i -> function
-      | Stdlib.Ok v -> Alcotest.(check int) "healthy slot" (i + 1) v
+      | Stdlib.Ok v -> Alcotest.(check int) (name ^ ": healthy slot") (i + 1) v
       | Stdlib.Error (Procpool.Raised msg) ->
-          Alcotest.(check int) "raising index only" 7 (i mod 13);
-          Alcotest.(check bool) "original exception carried" true
+          Alcotest.(check int) (name ^ ": raising index only") 7 (i mod 13);
+          Alcotest.(check bool) (name ^ ": original exception carried") true
             (Test_helpers.contains msg (string_of_int i))
       | Stdlib.Error (Procpool.Crashed c) ->
-          Alcotest.fail ("raise escalated to crash: " ^ Procpool.crash_to_string c))
+          Alcotest.fail
+            (name ^ ": raise escalated to crash: " ^ Procpool.crash_to_string c))
     results
 
-let test_procpool_on_result_once_per_index () =
+let on_result_once_per_index { name; map } () =
   let seen = ref [] in
   let results =
-    Procpool.map ~workers:4
+    map ~workers:4
       ~on_result:(fun i r -> seen := (i, Stdlib.Result.is_ok r) :: !seen)
       (fun i -> i * 2)
       (Array.init 50 (fun i -> i))
   in
-  Alcotest.(check int) "all results" 50 (Array.length results);
+  Alcotest.(check int) (name ^ ": all results") 50 (Array.length results);
   let indices = List.sort compare (List.map fst !seen) in
   Alcotest.(check (list int))
-    "on_result fired exactly once per index"
+    (name ^ ": on_result fired exactly once per index")
     (List.init 50 (fun i -> i))
     indices;
-  Alcotest.(check bool) "all reported ok" true (List.for_all snd !seen)
+  Alcotest.(check bool) (name ^ ": all reported ok") true
+    (List.for_all snd !seen)
 
-let test_procpool_kill_surfaces_as_crash () =
+let kill_surfaces_as_crash { name; map } cases () =
   (* The chaos hook: the first worker SIGKILLs itself after completing
-     two jobs.  Its in-flight job must surface as Crashed (with the
+     [k] jobs.  Its in-flight job must surface as Crashed (with the
      signal named), every other job must still complete on the respawned
-     or surviving workers. *)
-  let results =
-    Procpool.map ~workers:2 ~kill_first_worker_after:2
-      (fun i -> i * 3)
-      (Array.init 30 (fun i -> i))
-  in
-  let crashed = ref 0 in
-  Array.iteri
-    (fun i -> function
-      | Stdlib.Ok v -> Alcotest.(check int) "survivor correct" (i * 3) v
-      | Stdlib.Error (Procpool.Crashed { detail; _ }) ->
-          incr crashed;
-          Alcotest.(check bool) "signal named in detail" true
-            (Test_helpers.contains detail "SIGKILL")
-      | Stdlib.Error (Procpool.Raised msg) ->
-          Alcotest.fail ("kill surfaced as Raised: " ^ msg))
-    results;
-  Alcotest.(check int) "exactly the in-flight job is lost" 1 !crashed
-
-let test_procpool_rejects_bad_workers () =
-  match Procpool.map ~workers:0 (fun i -> i) [| 1 |] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "workers=0 accepted"
-
-(* --- Shard: the coordinator/worker pool with work stealing ------------- *)
-
-let test_shard_map_in_order () =
-  (* Skewed per-item work concentrated in one contiguous shard, so the
-     initial partition is maximally unbalanced and completion order
-     depends on stealing: results must still land by submission index,
-     at any node count. *)
-  let items = Array.init 100 (fun i -> i) in
-  let work i =
-    let spins = if i < 25 then 20000 else 100 in
-    let acc = ref i in
-    for _ = 1 to spins do
-      acc := (!acc * 31) mod 65537
-    done;
-    (i, i * i)
-  in
+     or surviving workers.  [k = 0] kills the designee on its very first
+     feed, before it has completed anything: still exactly one casualty,
+     and every job it never received runs elsewhere. *)
   List.iter
-    (fun nodes ->
-      let results = Shard.map ~nodes work items in
-      Alcotest.(check int) "all slots filled" 100 (Array.length results);
+    (fun (workers, k, n, f) ->
+      let tag = Printf.sprintf "%s workers=%d k=%d" name workers k in
+      let results = map ~workers ~kill_after:k f (Array.init n (fun i -> i)) in
+      let crashed = ref 0 in
       Array.iteri
-        (fun idx r ->
-          let i, sq = ok_exn r in
-          Alcotest.(check int) "submission order preserved" idx i;
-          Alcotest.(check int) "value correct" (idx * idx) sq)
-        results)
-    [ 1; 3; 4 ]
+        (fun i -> function
+          | Stdlib.Ok v ->
+              Alcotest.(check int) (tag ^ ": survivor correct") (f i) v
+          | Stdlib.Error (Procpool.Crashed { detail; _ }) ->
+              incr crashed;
+              Alcotest.(check bool) (tag ^ ": signal named in detail") true
+                (Test_helpers.contains detail "SIGKILL")
+          | Stdlib.Error (Procpool.Raised msg) ->
+              Alcotest.fail (tag ^ ": kill surfaced as Raised: " ^ msg))
+        results;
+      Alcotest.(check int) (tag ^ ": exactly the in-flight job is lost") 1
+        !crashed)
+    cases
 
-let test_shard_raised_is_isolated () =
-  let work i = if i mod 13 = 7 then failwith (string_of_int i) else i + 1 in
-  let results = Shard.map ~nodes:3 work (Array.init 80 (fun i -> i)) in
-  Array.iteri
-    (fun i -> function
-      | Stdlib.Ok v -> Alcotest.(check int) "healthy slot" (i + 1) v
-      | Stdlib.Error (Procpool.Raised msg) ->
-          Alcotest.(check int) "raising index only" 7 (i mod 13);
-          Alcotest.(check bool) "original exception carried" true
-            (Test_helpers.contains msg (string_of_int i))
-      | Stdlib.Error (Procpool.Crashed c) ->
-          Alcotest.fail ("raise escalated to crash: " ^ Procpool.crash_to_string c))
-    results
+let kill_after_two = (2, 2, 30, fun i -> i * 3)
+let kill_on_first_feed = (3, 0, 60, fun i -> i + 100)
 
-let test_shard_on_result_once_per_index () =
-  let seen = ref [] in
-  let results =
-    Shard.map ~nodes:4
-      ~on_result:(fun i r -> seen := (i, Stdlib.Result.is_ok r) :: !seen)
-      (fun i -> i * 2)
-      (Array.init 50 (fun i -> i))
-  in
-  Alcotest.(check int) "all results" 50 (Array.length results);
-  let indices = List.sort compare (List.map fst !seen) in
-  Alcotest.(check (list int))
-    "on_result fired exactly once per index"
-    (List.init 50 (fun i -> i))
-    indices;
-  Alcotest.(check bool) "all reported ok" true (List.for_all snd !seen)
-
-let test_shard_kill_surfaces_as_crash () =
-  (* The chaos hook: node 0 SIGKILLs itself after completing two jobs.
-     Exactly its in-flight job is lost (as Crashed, with the signal
-     named); its queued shard and every other job complete on the
-     survivors or the respawn. *)
-  let results =
-    Shard.map ~nodes:2 ~kill_first_node_after:2
-      (fun i -> i * 3)
-      (Array.init 30 (fun i -> i))
-  in
-  let crashed = ref 0 in
-  Array.iteri
-    (fun i -> function
-      | Stdlib.Ok v -> Alcotest.(check int) "survivor correct" (i * 3) v
-      | Stdlib.Error (Procpool.Crashed { detail; _ }) ->
-          incr crashed;
-          Alcotest.(check bool) "signal named in detail" true
-            (Test_helpers.contains detail "SIGKILL")
-      | Stdlib.Error (Procpool.Raised msg) ->
-          Alcotest.fail ("kill surfaced as Raised: " ^ msg))
-    results;
-  Alcotest.(check int) "exactly the in-flight job is lost" 1 !crashed
-
-let test_shard_orphaned_shard_migrates () =
-  (* Kill node 0 before it completes anything: its whole shard (minus
-     the one in-flight casualty) must migrate through the orphan pool
-     and still complete — no queued job is ever lost with a node. *)
-  let results =
-    Shard.map ~nodes:3 ~kill_first_node_after:0
-      (fun i -> i + 100)
-      (Array.init 60 (fun i -> i))
-  in
-  let crashed = ref 0 in
-  Array.iteri
-    (fun i -> function
-      | Stdlib.Ok v -> Alcotest.(check int) "migrated job correct" (i + 100) v
-      | Stdlib.Error _ -> incr crashed)
-    results;
-  Alcotest.(check int) "only the in-flight job is a casualty" 1 !crashed
-
-let test_shard_rejects_bad_nodes () =
-  match Shard.map ~nodes:0 (fun i -> i) [| 1 |] with
+let rejects_bad_workers { name; map } () =
+  match map ~workers:0 (fun i -> i) [| 1 |] with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "nodes=0 accepted"
+  | _ -> Alcotest.fail (name ^ ": workers=0 accepted")
 
 (* --- differential: processes backend vs domains backend ---------------- *)
 
@@ -244,8 +189,7 @@ let test_shard_rejects_bad_nodes () =
    trace attached: returns the algorithm's result and the trace bytes.
    The engine is created explicitly so the trace and telemetry are ours
    to inspect. *)
-let run_algo ?kill_workers_after ?kill_node_after ?checkpoint ~backend ~jobs
-    algo =
+let run_algo ?kill_workers_after ?checkpoint ~backend ~jobs algo =
   let trace = Trace.create ~clock:Trace.Logical () in
   let checkpoint =
     Option.map
@@ -255,8 +199,8 @@ let run_algo ?kill_workers_after ?kill_node_after ?checkpoint ~backend ~jobs
   (* [jobs] doubles as the node count: each backend reads its own knob
      and ignores the other, so one matrix covers both. *)
   let engine =
-    Engine.create ~jobs ~nodes:jobs ~backend ?kill_workers_after
-      ?kill_node_after ?checkpoint ~trace ()
+    Engine.create ~jobs ~nodes:jobs ~backend ?kill_workers_after ?checkpoint
+      ~trace ()
   in
   let session =
     Tuner.make_session ~pool_size:24 ~engine ~platform ~program:swim
@@ -390,16 +334,15 @@ let test_differential_survives_worker_kills () =
     (s.Telemetry.worker_crashes > 0)
 
 let test_differential_survives_node_kills () =
-  (* The sharded acceptance property end-to-end: SIGKILL node 0 on the
-     first round of every batch — losing a whole pre-partitioned shard
-     to the orphan pool each time — and the tune must still be
+  (* The same acceptance property on the sharded spelling: SIGKILL a node
+     on the first round of every batch, and the tune must still be
      byte-identical, result and logical trace, to an uninterrupted
      domains -j1 run. *)
   let base_result, base_bytes, _ =
     run_algo ~backend:Backend.Domains ~jobs:1 `Cfr
   in
   let result, bytes, engine =
-    run_algo ~backend:Backend.Sharded ~jobs:4 ~kill_node_after:3 `Cfr
+    run_algo ~backend:Backend.Sharded ~jobs:4 ~kill_workers_after:3 `Cfr
   in
   Alcotest.(check bool) "result identical despite node kills" true
     (result = base_result);
@@ -554,10 +497,10 @@ let test_worker_crash_retries_recover () =
 let test_node_crash_exhausts_to_outcome () =
   (* Sharded sibling of the worker-crash test: with no retry budget, a
      killed node's in-flight job surfaces as the typed Worker_crashed
-     outcome while its queued shard-mates still complete. *)
+     outcome while every other job still completes. *)
   let policy = { Engine.default_policy with Engine.max_retries = 0 } in
   let engine =
-    Engine.create ~backend:Backend.Sharded ~nodes:2 ~kill_node_after:0
+    Engine.create ~backend:Backend.Sharded ~nodes:2 ~kill_workers_after:0
       ~policy ()
   in
   let outcomes =
@@ -991,27 +934,30 @@ let suite =
     [
       Alcotest.test_case "backend names round-trip" `Quick test_backend_names;
       Alcotest.test_case "procpool preserves order" `Quick
-        test_procpool_map_in_order;
+        (map_in_order procpool);
       Alcotest.test_case "procpool isolates raised exceptions" `Quick
-        test_procpool_raised_is_isolated;
+        (raised_is_isolated procpool);
       Alcotest.test_case "procpool on_result once per index" `Quick
-        test_procpool_on_result_once_per_index;
+        (on_result_once_per_index procpool);
       Alcotest.test_case "procpool kill surfaces as crash" `Quick
-        test_procpool_kill_surfaces_as_crash;
+        (kill_surfaces_as_crash procpool [ kill_after_two; kill_on_first_feed ]);
       Alcotest.test_case "procpool rejects workers=0" `Quick
-        test_procpool_rejects_bad_workers;
+        (rejects_bad_workers procpool);
+      (* The shim's cases keep the names they had when Shard ran its own
+         scheduler (work stealing, an orphan pool), so results stay
+         comparable across versions; the bodies are the procpool ones. *)
       Alcotest.test_case "shard preserves order under stealing" `Quick
-        test_shard_map_in_order;
+        (map_in_order shard);
       Alcotest.test_case "shard isolates raised exceptions" `Quick
-        test_shard_raised_is_isolated;
+        (raised_is_isolated shard);
       Alcotest.test_case "shard on_result once per index" `Quick
-        test_shard_on_result_once_per_index;
+        (on_result_once_per_index shard);
       Alcotest.test_case "shard kill surfaces as crash" `Quick
-        test_shard_kill_surfaces_as_crash;
+        (kill_surfaces_as_crash shard [ kill_after_two ]);
       Alcotest.test_case "shard orphaned queue migrates" `Quick
-        test_shard_orphaned_shard_migrates;
+        (kill_surfaces_as_crash shard [ kill_on_first_feed ]);
       Alcotest.test_case "shard rejects nodes=0" `Quick
-        test_shard_rejects_bad_nodes;
+        (rejects_bad_workers shard);
       Alcotest.test_case "cfr differential (procs+shard 1/2/4)" `Quick
         test_differential_cfr;
       Alcotest.test_case "fr differential (procs+shard 1/2/4)" `Quick

@@ -1,7 +1,6 @@
 (* Test entry point: one Alcotest suite per library. *)
 
 let () =
-  Ft_shard.Shard.install ();
   Alcotest.run "funcytuner"
     [
       Suite_util.suite;
