@@ -50,7 +50,9 @@ smoke-faults: build
 #   1. a logical-clock trace of the same tune is byte-identical at
 #      --jobs 1 and --jobs 4 (schedule-independent observability);
 #   2. funcy report is a pure function of the trace file: rendering the
-#      same trace twice produces identical bytes.
+#      same trace twice produces identical bytes;
+#   3. counters are one fold over events: a faulty tune's --stats block
+#      equals the counters block funcy report derives from its wall trace.
 smoke-trace: build
 	$(FUNCY) tune -b swim -a cfr -k 120 --jobs 1 \
 	  --trace _build/smoke-trace-j1.jsonl --trace-clock logical > /dev/null
@@ -60,7 +62,17 @@ smoke-trace: build
 	$(FUNCY) report _build/smoke-trace-j1.jsonl > _build/smoke-trace-report1.out
 	$(FUNCY) report _build/smoke-trace-j1.jsonl > _build/smoke-trace-report2.out
 	cmp _build/smoke-trace-report1.out _build/smoke-trace-report2.out
-	@echo "smoke-trace OK: logical trace bytes jobs-independent, report reproducible"
+	$(FUNCY) tune -b swim -a cfr -k 120 --faults --fault-seed 7 --stats \
+	  --trace _build/smoke-trace-wall.jsonl > _build/smoke-trace-wall.out
+	$(FUNCY) report _build/smoke-trace-wall.jsonl \
+	  > _build/smoke-trace-wall-report.out
+	sed -n '/^engine telemetry:$$/,$$p' _build/smoke-trace-wall.out \
+	  | tail -n +2 > _build/smoke-trace-stats.out
+	sed -n '/^Derived engine counters:$$/,$$p' \
+	  _build/smoke-trace-wall-report.out | tail -n +2 \
+	  > _build/smoke-trace-derived.out
+	cmp _build/smoke-trace-stats.out _build/smoke-trace-derived.out
+	@echo "smoke-trace OK: logical trace bytes jobs-independent, report reproducible, --stats = derived counters"
 
 # Fork-substrate smoke (see DESIGN.md sections 11 and 17): both spellings
 # of the forked-worker pool, --backend processes (sized by --jobs) and

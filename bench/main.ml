@@ -10,7 +10,7 @@
      --backend NAME    evaluation substrate: domains (default), processes
                        or sharded (both run --jobs forked workers;
                        crash-isolated, same results)
-     --stats           print engine telemetry at exit
+     --stats           print engine counters at exit
      --faults          arm the deterministic fault model for the lab engine
      --fault-rate R    overall injected fault rate in [0,1] (default 0.1)
      --fault-seed N    fault-schedule seed (default 1)
@@ -171,7 +171,7 @@ let run_faults () =
      valid CV)";
   Series.print
     (Faults.run
-       ~telemetry:(Lab.telemetry (Lazy.force lab))
+       ~trace:(Ft_engine.Engine.trace (Lab.engine (Lazy.force lab)))
        ~fault_seed:!fault_seed ~seed:42 ~pool_size:1000 ~jobs:!jobs ())
 
 (* --- Bechamel micro-benchmarks -------------------------------------- *)
@@ -286,28 +286,20 @@ let run_engine () =
   (* CFR on the same session reuses the engine cache for every assignment
      it has already linked; a second CFR run is served entirely by it. *)
   let r1 = Funcytuner.Tuner.run_cfr ~top_x:10 par_session in
-  let before =
-    Ft_engine.Telemetry.snapshot
-      (Funcytuner.Context.telemetry par_session.Funcytuner.Tuner.ctx)
-  in
+  let engine = par_session.Funcytuner.Tuner.ctx.Funcytuner.Context.engine in
+  let before = Ft_engine.Engine.counters engine in
   let t0 = Unix.gettimeofday () in
   let r2 = Funcytuner.Tuner.run_cfr ~top_x:10 par_session in
   let warm_s = Unix.gettimeofday () -. t0 in
-  let after =
-    Ft_engine.Telemetry.snapshot
-      (Funcytuner.Context.telemetry par_session.Funcytuner.Tuner.ctx)
-  in
+  let after = Ft_engine.Engine.counters engine in
   note "CFR speedup %.3f; re-run from warm cache: %.3f s, +%d hits, +%d \
         misses, same result = %b"
     r1.Funcytuner.Result.speedup warm_s
-    (after.Ft_engine.Telemetry.cache_hits
-   - before.Ft_engine.Telemetry.cache_hits)
-    (after.Ft_engine.Telemetry.cache_misses
-   - before.Ft_engine.Telemetry.cache_misses)
+    (after.Ft_obs.Counters.cache_hits - before.Ft_obs.Counters.cache_hits)
+    (after.Ft_obs.Counters.cache_misses - before.Ft_obs.Counters.cache_misses)
     (r1.Funcytuner.Result.speedup = r2.Funcytuner.Result.speedup);
-  print_string
-    (Ft_engine.Telemetry.render
-       (Funcytuner.Context.telemetry par_session.Funcytuner.Tuner.ctx))
+  print_string "engine telemetry:\n";
+  print_string (Ft_obs.Counters.render after)
 
 (* --- bench --json: machine-readable performance snapshot -------------- *)
 
@@ -334,8 +326,7 @@ let fork_daemon ~socket_path =
       let engine = Ft_engine.Engine.create ~jobs:1 ~policy:(policy ()) () in
       let runner = Ft_serve.Runner.make ~engine in
       ignore
-        (Ft_serve.Server.serve
-           ~telemetry:(Ft_engine.Engine.telemetry engine)
+        (Ft_serve.Server.serve ~trace:(Ft_engine.Engine.trace engine)
            (Ft_serve.Server.default_config ~socket_path)
            runner);
       Stdlib.exit 0
@@ -465,13 +456,13 @@ let run_json_bench () =
   in
   let result = Funcytuner.Tuner.run_cfr session in
   let tune_wall = Unix.gettimeofday () -. t0 in
-  let snap = Ft_engine.Telemetry.snapshot (Ft_engine.Engine.telemetry engine) in
+  let snap = Ft_engine.Engine.counters engine in
   let lookups =
-    snap.Ft_engine.Telemetry.cache_hits + snap.Ft_engine.Telemetry.cache_misses
+    snap.Ft_obs.Counters.cache_hits + snap.Ft_obs.Counters.cache_misses
   in
   let hit_rate =
     if lookups = 0 then 0.0
-    else float_of_int snap.Ft_engine.Telemetry.cache_hits /. float_of_int lookups
+    else float_of_int snap.Ft_obs.Counters.cache_hits /. float_of_int lookups
   in
   note "tune (swim/bdw cfr, K=300): %.3f s wall, %d evaluations (%.0f/s), \
         cache hit rate %.1f%%"
@@ -792,7 +783,9 @@ let () =
   if Lazy.is_val lab then
     Ft_engine.Engine.flush_checkpoint (Lab.engine (Lazy.force lab));
   if !stats then begin
-    print_newline ();
-    print_string (Ft_engine.Telemetry.render (Lab.telemetry (Lazy.force lab)))
+    print_string "\nengine telemetry:\n";
+    print_string
+      (Ft_obs.Counters.render
+         (Ft_engine.Engine.counters (Lab.engine (Lazy.force lab))))
   end;
   Printf.printf "\n(total harness CPU time: %.1f s)\n" (Sys.time () -. t0)

@@ -145,12 +145,12 @@ let stats_t =
   Arg.(
     value & flag
     & info [ "stats" ]
-        ~doc:"Print engine telemetry (builds, runs, cache, timers) at exit.")
+        ~doc:"Print engine counters (builds, runs, cache, timers) at exit.")
 
-let maybe_stats stats telemetry =
+let maybe_stats stats counters =
   if stats then (
-    print_newline ();
-    print_string (Ft_engine.Telemetry.render telemetry))
+    print_string "\nengine telemetry:\n";
+    print_string (Ft_obs.Counters.render counters))
 
 (* --- run tracing flags ------------------------------------------------- *)
 
@@ -169,8 +169,9 @@ let trace_spec_t =
           ~doc:
             "Record every engine and search event (jobs, cache decisions, \
              faults, retries, phase spans) and write the trace to $(docv) \
-             at exit.  Without this flag not a single event is recorded \
-             and all output is byte-identical to an untraced run.")
+             at exit.  Without this flag events are only counted (for \
+             $(b,--stats)), never recorded, and all output is \
+             byte-identical to an untraced run.")
   in
   let clock_t =
     Arg.(
@@ -200,18 +201,19 @@ let trace_spec_t =
   in
   Term.(const combine $ path_t $ clock_t $ format_t)
 
+(* The run's one event sink: a trace with --trace, else counting-only. *)
 let make_trace spec =
   match spec.trace_path with
-  | None -> None
-  | Some _ -> Some (Trace.create ~clock:spec.trace_clock ())
+  | None -> Trace.counting ()
+  | Some _ -> Trace.create ~clock:spec.trace_clock ()
 
 let export_trace spec trace =
-  match (spec.trace_path, trace) with
-  | Some path, Some t -> (
+  match spec.trace_path with
+  | Some path -> (
       match spec.trace_format with
-      | `Jsonl -> Ft_obs.Export.write_jsonl t ~path
-      | `Chrome -> Ft_obs.Export.write_chrome t ~path)
-  | _ -> ()
+      | `Jsonl -> Ft_obs.Export.write_jsonl trace ~path
+      | `Chrome -> Ft_obs.Export.write_chrome trace ~path)
+  | None -> ()
 
 (* --- fault / recovery / checkpoint flags ------------------------------- *)
 
@@ -371,12 +373,11 @@ let policy_of_resilience r =
    policy and, with --checkpoint, attach the snapshot file — resuming from
    it when it already exists.  Resume chatter goes to stderr so stdout
    stays byte-comparable across resumed runs. *)
-let make_engine ~jobs ?backend ?kill_workers_after ?nodes ?trace r =
+let make_engine ~jobs ?backend ?kill_workers_after ?nodes ~trace r =
   let policy = policy_of_resilience r in
   match r.checkpoint with
   | None ->
-      Engine.create ~jobs ?backend ?kill_workers_after ?nodes ~policy ?trace
-        ()
+      Engine.create ~jobs ?backend ?kill_workers_after ?nodes ~policy ~trace ()
   | Some path ->
       let ck = Checkpoint.create ~path ~format:r.cache_format () in
       let cache, quarantine =
@@ -386,12 +387,14 @@ let make_engine ~jobs ?backend ?kill_workers_after ?nodes ?trace r =
               "funcy: resuming from %s (%d cached summaries, %d quarantined)\n%!"
               path (Cache.length cache)
               (Quarantine.length quarantine);
-            Trace.checkpoint_loaded trace ~path ~entries:(Cache.length cache);
+            Trace.emit trace
+              (Ft_obs.Event.Checkpoint_loaded
+                 { path; entries = Cache.length cache });
             (cache, quarantine)
         | None -> (Cache.create (), Quarantine.create ())
       in
       Engine.create ~jobs ?backend ?kill_workers_after ?nodes ~cache
-        ~quarantine ~policy ~checkpoint:ck ?trace ()
+        ~quarantine ~policy ~checkpoint:ck ~trace ()
 
 (* --shared-cache: one read-merge-write against the shared file at startup
    (adopting whatever other processes committed) and one at exit
@@ -415,8 +418,7 @@ let publish_shared_cache engine ~format = function
 let arm_die_after engine ?(on_die = fun () -> ()) = function
   | None -> ()
   | Some n ->
-      Ft_engine.Telemetry.set_progress (Engine.telemetry engine)
-        (fun ~completed ~expected:_ ->
+      Engine.set_progress engine (fun ~completed ~expected:_ ->
           if completed >= n then begin
             Engine.flush_checkpoint engine;
             on_die ();
@@ -587,7 +589,7 @@ let tune_cmd =
       shared_cache stats resilience tspec algo top_x budget warm_start =
     let trace = make_trace tspec in
     let engine =
-      make_engine ~jobs ~backend ?kill_workers_after:kill_workers ~nodes ?trace
+      make_engine ~jobs ~backend ?kill_workers_after:kill_workers ~nodes ~trace
         resilience
     in
     adopt_shared_cache engine ~format:resilience.cache_format shared_cache;
@@ -612,7 +614,7 @@ let tune_cmd =
         Engine.flush_checkpoint engine;
         publish_shared_cache engine ~format:resilience.cache_format shared_cache;
         export_trace tspec trace;
-        maybe_stats stats (Funcytuner.Context.telemetry ctx))
+        maybe_stats stats (Engine.counters engine))
     @@ fun () ->
     match algo with
     | `Cfr -> print_result (Tuner.run_cfr ?top_x session)
@@ -654,7 +656,7 @@ let tune_cmd =
         let input = Ft_suite.Suite.tuning_input platform program in
         let ce =
           Ft_baselines.Ce.run
-            ?faults:(Engine.policy engine).Engine.faults ?trace ~toolchain
+            ?faults:(Engine.policy engine).Engine.faults ~trace ~toolchain
             ~program ~input
             ~rng:(Ft_util.Rng.create seed)
             ()
@@ -673,7 +675,7 @@ let tune_cmd =
         let toolchain = Ft_machine.Toolchain.make platform in
         let input = Ft_suite.Suite.tuning_input platform program in
         let pgo =
-          Ft_baselines.Pgo_driver.run ?trace ~toolchain ~program ~input
+          Ft_baselines.Pgo_driver.run ~trace ~toolchain ~program ~input
             ~rng:(Ft_util.Rng.create seed) ()
         in
         Printf.printf "PGO: speedup %.3f over O3%s\n"
@@ -917,7 +919,7 @@ let experiment_cmd =
       resilience tspec csv_dir names =
     let trace = make_trace tspec in
     let engine =
-      make_engine ~jobs ~backend ?kill_workers_after:kill_workers ~nodes ?trace
+      make_engine ~jobs ~backend ?kill_workers_after:kill_workers ~nodes ~trace
         resilience
     in
     adopt_shared_cache engine ~format:resilience.cache_format shared_cache;
@@ -951,7 +953,7 @@ let experiment_cmd =
       | "tab3" -> Ft_util.Table.print (Casestudy.table3 lab)
       | "faults" ->
           emit "faults"
-            (Faults.run ~telemetry:(Lab.telemetry lab)
+            (Faults.run ~trace
                ~fault_seed:resilience.fault_seed ~seed ~pool_size:pool ~jobs
                ())
       | "ablations" ->
@@ -968,7 +970,7 @@ let experiment_cmd =
         Engine.flush_checkpoint engine;
         publish_shared_cache engine ~format:resilience.cache_format shared_cache;
         export_trace tspec trace;
-        maybe_stats stats (Ft_experiments.Lab.telemetry lab))
+        maybe_stats stats (Engine.counters engine))
     @@ fun () ->
     List.iter dispatch (match names with [] -> [ "fig5c" ] | n -> n)
   in
@@ -1105,24 +1107,24 @@ let serve_cmd =
     (* Everything engine-flavoured happens inside [daemon] so that under
        --supervise the forking supervisor parent never spawns a domain. *)
     let daemon ~generation:_ =
+      (* The daemon's one sink: every engine below and the server itself
+         emit into it, so --stats counts the whole daemon. *)
       let trace = make_trace tspec in
-      let telemetry, runner =
+      let runner =
         match state_dir with
         | None ->
-            let engine =
-              make_engine ~jobs ~backend ?kill_workers_after:kill_workers
-                ~nodes ?trace resilience
-            in
-            (Engine.telemetry engine, Ft_serve.Runner.make ~engine)
+            Ft_serve.Runner.make
+              ~engine:
+                (make_engine ~jobs ~backend ?kill_workers_after:kill_workers
+                   ~nodes ~trace resilience)
         | Some dir ->
             let policy = policy_of_resilience resilience in
             let make_engine ?cache ?quarantine ?checkpoint () =
               Engine.create ~jobs ~backend ?kill_workers_after:kill_workers
-                ~nodes ?cache ?quarantine ~policy ?checkpoint ?trace ()
+                ~nodes ?cache ?quarantine ~policy ?checkpoint ~trace ()
             in
-            ( Ft_engine.Telemetry.create (),
-              Ft_serve.Runner.make_durable ~make_engine ~state_dir:dir
-                ~checkpoint_every ~cache_format:resilience.cache_format () )
+            Ft_serve.Runner.make_durable ~make_engine ~state_dir:dir
+              ~checkpoint_every ~cache_format:resilience.cache_format ()
       in
       let config =
         {
@@ -1137,9 +1139,9 @@ let serve_cmd =
       let counters =
         Fun.protect ~finally:(fun () ->
             export_trace tspec trace;
-            maybe_stats stats telemetry)
+            maybe_stats stats (Trace.counters trace))
         @@ fun () ->
-        Serve.serve ?trace ~telemetry
+        Serve.serve ~trace
           ~on_ready:(fun () ->
             Printf.eprintf "funcy serve: listening on %s\n%!" socket)
           config runner

@@ -91,7 +91,8 @@ let make_env ~toolchain ~program ~input ~rng ~faults =
 let on_flags bits =
   Array.to_list Flag.all |> List.filter (fun id -> bits.(Flag.index id))
 
-let run_batch ?faults ?trace ~toolchain ~program ~input ~rng () =
+let run_batch ?faults ?(trace = Ft_obs.Trace.counting ()) ~toolchain ~program
+    ~input ~rng () =
   Ft_obs.Trace.span trace Ft_obs.Event.Search @@ fun () ->
   let env = make_env ~toolchain ~program ~input ~rng ~faults in
   let bits = Array.make Flag.count true in
@@ -112,7 +113,8 @@ let run_batch ?faults ?trace ~toolchain ~program ~input ~rng () =
       List.iter (fun s -> bits.(Flag.index s.eliminated) <- false) steps;
       finish env ~algorithm:"BE" ~bits ~steps:(List.rev steps)
 
-let eliminate ~algorithm ~refine ?faults ?trace ~toolchain ~program ~input
+let eliminate ~algorithm ~refine ?faults ?(trace = Ft_obs.Trace.counting ())
+    ~toolchain ~program ~input
     ~rng () =
   Ft_obs.Trace.span trace Ft_obs.Event.Search @@ fun () ->
   let env = make_env ~toolchain ~program ~input ~rng ~faults in

@@ -16,7 +16,7 @@ let tuned_binary ~toolchain ~program ~input =
       Toolchain.compile_uniform toolchain ~pgo:(Some db) ~cv:Ft_flags.Cv.o3
         program
 
-let run ?trace ~toolchain ~program ~input ~rng () =
+let run ?(trace = Ft_obs.Trace.counting ()) ~toolchain ~program ~input ~rng () =
   Ft_obs.Trace.span trace Ft_obs.Event.Search @@ fun () ->
   let baseline =
     Ft_caliper.Profiler.baseline_seconds ~toolchain ~program ~input

@@ -17,14 +17,17 @@ let default_top_x = 4
 (* Mirror one allocator decision into the trace.  Decisions are pure
    functions of deterministic scores, so these events are part of the
    logical byte-identity contract. *)
-let emit_decision trace = function
-  | Allocator.Rung_opened { rung; arms; pulls } ->
-      Trace.rung_opened trace ~rung ~arms ~pulls
-  | Allocator.Rung_closed { rung; survivors } ->
-      Trace.rung_closed trace ~rung ~survivors
-  | Allocator.Promoted { rung; arm } -> Trace.arm_promoted trace ~rung ~arm
-  | Allocator.Eliminated { rung; arm } ->
-      Trace.arm_eliminated trace ~rung ~arm
+let emit_decision trace decision =
+  Trace.emit trace
+    (match decision with
+    | Allocator.Rung_opened { rung; arms; pulls } ->
+        Ft_obs.Event.Rung_opened { rung; arms; pulls }
+    | Allocator.Rung_closed { rung; survivors } ->
+        Ft_obs.Event.Rung_closed { rung; survivors }
+    | Allocator.Promoted { rung; arm } ->
+        Ft_obs.Event.Arm_promoted { rung; arm }
+    | Allocator.Eliminated { rung; arm } ->
+        Ft_obs.Event.Arm_eliminated { rung; arm })
 
 let run ?(top_x = default_top_x) ?(policy = Allocator.default_policy)
     ?budget ?warm (ctx : Context.t) (collection : Collection.t) =
@@ -73,7 +76,7 @@ let run ?(top_x = default_top_x) ?(policy = Allocator.default_policy)
   let noise = Context.stream ctx "adaptive-sh:noise" in
   let times = ref [] in
   Trace.span trace Ft_obs.Event.Search (fun () ->
-      Engine.timed engine "adaptive-sh" (fun () ->
+      Trace.time trace "adaptive-sh" (fun () ->
           flush_decisions ();
           let rec loop () =
             let pulls, awaiting = Allocator.next_batch !alloc in

@@ -12,8 +12,9 @@ let traced_pruned_pools ?top_x (ctx : Context.t) collection =
       let pools = pruned_pools ?top_x collection in
       List.iter
         (fun (m, pool) ->
-          Ft_obs.Trace.prune_kept trace ~module_name:m
-            ~kept:(Array.length pool))
+          Ft_obs.Trace.emit trace
+            (Ft_obs.Event.Prune_kept
+               { module_name = m; kept = Array.length pool }))
         pools;
       pools)
 

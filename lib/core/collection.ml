@@ -41,7 +41,7 @@ let collect (ctx : Context.t) (outline : Outline.t) =
   let engine = ctx.Context.engine in
   let outcomes =
     Ft_obs.Trace.span (Engine.trace engine) Ft_obs.Event.Collect (fun () ->
-        Engine.timed engine "collect" (fun () ->
+        Ft_obs.Trace.time (Engine.trace engine) "collect" (fun () ->
             Engine.try_measure_batch engine ~toolchain:ctx.Context.toolchain
               ~outline ~program:ctx.Context.program ~input:ctx.Context.input
               batch))

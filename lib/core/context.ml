@@ -29,7 +29,6 @@ let make ?(pool_size = 1000) ?jobs ?backend ?engine ~toolchain ~program ~input
 
 let stream t label = Rng.of_label t.rng label
 let engine t = t.engine
-let telemetry t = Engine.telemetry t.engine
 let trace t = Engine.trace t.engine
 
 let measure_uniform t ~rng cv =

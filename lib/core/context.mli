@@ -15,8 +15,8 @@ type t = {
   rng : Ft_util.Rng.t;  (** master stream; use {!stream} for children *)
   engine : Ft_engine.Engine.t;
       (** the evaluation engine all of this session's builds and runs go
-          through — owns the worker pool, measurement cache and
-          telemetry *)
+          through — owns the worker pool, measurement cache and event
+          sink *)
 }
 
 val make :
@@ -35,7 +35,7 @@ val make :
     with the same seed share the same pool regardless of evaluation
     order.  [jobs] (default 1 = sequential) sizes a fresh engine's worker
     pool and [backend] (default domains) picks its execution substrate;
-    pass [engine] instead to share one engine — cache and telemetry
+    pass [engine] instead to share one engine — cache and counters
     included — across sessions.  Results are independent of all three. *)
 
 val stream : t -> string -> Ft_util.Rng.t
@@ -44,11 +44,8 @@ val stream : t -> string -> Ft_util.Rng.t
 
 val engine : t -> Ft_engine.Engine.t
 
-val telemetry : t -> Ft_engine.Telemetry.t
-(** The session engine's telemetry (the [--stats] source). *)
-
-val trace : t -> Ft_obs.Trace.t option
-(** The session engine's trace buffer, if one is attached ([--trace]). *)
+val trace : t -> Ft_obs.Trace.t
+(** The session engine's event sink ({!Ft_engine.Engine.trace}). *)
 
 val measure_uniform : t -> rng:Ft_util.Rng.t -> Ft_flags.Cv.t -> float
 (** Compile the whole program with one CV (traditional model), run it on

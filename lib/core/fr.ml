@@ -49,7 +49,7 @@ let search_assignments (ctx : Context.t) outline ~algorithm ~label ~draw =
   let engine = ctx.Context.engine in
   let outcomes =
     Ft_obs.Trace.span (Engine.trace engine) Ft_obs.Event.Search (fun () ->
-        Engine.timed engine label (fun () ->
+        Ft_obs.Trace.time (Engine.trace engine) label (fun () ->
             Engine.try_measure_batch engine ~toolchain:ctx.Context.toolchain
               ~outline ~program:ctx.Context.program ~input:ctx.Context.input
               batch))

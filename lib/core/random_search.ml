@@ -16,7 +16,7 @@ let run (ctx : Context.t) =
   let engine = ctx.Context.engine in
   let outcomes =
     Ft_obs.Trace.span (Engine.trace engine) Ft_obs.Event.Search (fun () ->
-        Engine.timed engine "random" (fun () ->
+        Ft_obs.Trace.time (Engine.trace engine) "random" (fun () ->
             Engine.try_measure_batch engine ~toolchain:ctx.Context.toolchain
               ~program:ctx.Context.program ~input:ctx.Context.input batch))
   in

@@ -30,7 +30,7 @@ val make_session :
     sizes the evaluation engine's worker pool and [backend] (default
     domains) its execution substrate — reports are bit-identical at any
     setting of either; [engine] shares an existing engine (cache +
-    telemetry) instead. *)
+    counters) instead. *)
 
 type report = {
   random : Result.t;

@@ -2,7 +2,7 @@
 
     [Domains] (the default) is the original shared-memory {!Pool}: jobs
     run on OCaml 5 domains inside the engine's process, sharing its
-    cache, quarantine, telemetry and trace directly.  [Processes] runs
+    cache, quarantine and event sink directly.  [Processes] runs
     each batch on a fixed-size {!Procpool} of [--jobs] forked workers: a
     crashing or leaking evaluation takes down only its worker, never the
     search — the failure surfaces as a typed

@@ -8,6 +8,7 @@ module Exec = Ft_machine.Exec
 module Outline = Ft_outline.Outline
 module Fault = Ft_fault.Fault
 module Trace = Ft_obs.Trace
+module Event = Ft_obs.Event
 
 type build =
   | Uniform of { cv : Cv.t; instrumented : bool }
@@ -99,23 +100,33 @@ type journal = {
   mutable j_quar : (string * Quarantine.reason) list;
 }
 
+(* The progress hook: jobs announced and completed, and the callback fired
+   (serialized by [lock]) after every completion.  Not a record of facts —
+   a callback may flush a checkpoint, exit or cancel the search. *)
+type progress = {
+  expected : int Atomic.t;
+  completed : int Atomic.t;
+  lock : Mutex.t;
+  mutable callback : (completed:int -> expected:int -> unit) option;
+}
+
 type t = {
   jobs : int;
   backend : Backend.t;
   kill_workers_after : int option;
   nodes : int;
   cache : Cache.t;
-  telemetry : Telemetry.t;
   policy : policy;
   quarantine : Quarantine.t;
   checkpoint : Checkpoint.t option;
-  trace : Trace.t option;
+  trace : Trace.t;
+  progress : progress;
   journal : journal option;
 }
 
 let create ?(jobs = 1) ?(backend = Backend.default) ?kill_workers_after
-    ?(nodes = 1) ?cache ?telemetry ?(policy = default_policy) ?quarantine
-    ?checkpoint ?trace () =
+    ?(nodes = 1) ?cache ?(policy = default_policy) ?quarantine ?checkpoint
+    ?trace () =
   if jobs < 1 then invalid_arg "Engine.create: jobs must be >= 1";
   if nodes < 1 then invalid_arg "Engine.create: nodes must be >= 1";
   if policy.repeats < 1 then
@@ -134,13 +145,18 @@ let create ?(jobs = 1) ?(backend = Backend.default) ?kill_workers_after
     kill_workers_after;
     nodes;
     cache = (match cache with Some c -> c | None -> Cache.create ());
-    telemetry =
-      (match telemetry with Some t -> t | None -> Telemetry.create ());
     policy;
     quarantine =
       (match quarantine with Some q -> q | None -> Quarantine.create ());
     checkpoint;
-    trace;
+    trace = (match trace with Some tr -> tr | None -> Trace.counting ());
+    progress =
+      {
+        expected = Atomic.make 0;
+        completed = Atomic.make 0;
+        lock = Mutex.create ();
+        callback = None;
+      };
     journal = None;
   }
 
@@ -148,36 +164,40 @@ let jobs t = t.jobs
 let backend t = t.backend
 let nodes t = t.nodes
 let cache t = t.cache
-let telemetry t = t.telemetry
 let policy t = t.policy
 let quarantine t = t.quarantine
 let checkpoint t = t.checkpoint
 let trace t = t.trace
+let counters t = Trace.counters t.trace
+let set_progress t callback = t.progress.callback <- Some callback
+let completed t = Atomic.get t.progress.completed
+let expect t n = ignore (Atomic.fetch_and_add t.progress.expected n)
+
+let tick t =
+  let p = t.progress in
+  let completed = 1 + Atomic.fetch_and_add p.completed 1 in
+  match p.callback with
+  | None -> ()
+  | Some callback ->
+      (* Callbacks run from worker domains; serialize them so user code
+         (typically terminal output) never interleaves. *)
+      Mutex.protect p.lock (fun () ->
+          callback ~completed ~expected:(Atomic.get p.expected))
 
 let checkpoint_tick t =
   match t.checkpoint with
   | None -> ()
   | Some ck ->
       if Checkpoint.tick ck ~cache:t.cache ~quarantine:t.quarantine then
-        Trace.checkpoint_saved t.trace ~path:(Checkpoint.path ck)
+        Trace.emit t.trace
+          (Event.Checkpoint_saved { path = Checkpoint.path ck })
 
 let flush_checkpoint t =
   match t.checkpoint with
   | None -> ()
   | Some ck ->
       Checkpoint.flush ck ~cache:t.cache ~quarantine:t.quarantine;
-      Trace.checkpoint_saved t.trace ~path:(Checkpoint.path ck)
-
-(* Time [f] onto a telemetry timer and mirror the accumulation into the
-   trace (wall clock only — durations are not deterministic facts). *)
-let timed t name f =
-  let t0 = Unix.gettimeofday () in
-  Fun.protect
-    ~finally:(fun () ->
-      let dt = Unix.gettimeofday () -. t0 in
-      Telemetry.add_time t.telemetry name dt;
-      Trace.timer t.trace ~name ~seconds:dt)
-    f
+      Trace.emit t.trace (Event.Checkpoint_saved { path = Checkpoint.path ck })
 
 let instrumented = function
   | Uniform { instrumented; _ } | Assigned { instrumented; _ } -> instrumented
@@ -258,23 +278,20 @@ let summary ?key_str t ~toolchain ?outline ~program ~input build =
   in
   match Cache.find t.cache key with
   | Some s ->
-      Telemetry.cache_hit t.telemetry;
-      Trace.cache_lookup t.trace ~key ~hit:true;
+      Trace.emit t.trace (Event.Cache_hit { key });
       s
   | None ->
-      Telemetry.cache_miss t.telemetry;
-      Trace.cache_lookup t.trace ~key ~hit:false;
+      Trace.emit t.trace (Event.Cache_miss { key });
       let binary =
-        timed t "build" (fun () -> compile ~toolchain ?outline ~program build)
+        Trace.time t.trace "build" (fun () ->
+            compile ~toolchain ?outline ~program build)
       in
-      Telemetry.build t.telemetry;
-      Trace.build_done t.trace ~key;
+      Trace.emit t.trace (Event.Build_done { key });
       let run =
-        timed t "run" (fun () ->
+        Trace.time t.trace "run" (fun () ->
             Exec.evaluate ~arch:toolchain.Toolchain.arch ~input binary)
       in
-      Telemetry.run t.telemetry;
-      Trace.run_done t.trace ~key;
+      Trace.emit t.trace (Event.Run_done { key });
       let s = Exec.summarize run in
       Cache.add t.cache key s;
       (match t.journal with
@@ -294,8 +311,8 @@ let quarantine_add t key reason =
     (match t.journal with
     | Some j -> j.j_quar <- (key, reason) :: j.j_quar
     | None -> ());
-    Telemetry.quarantine t.telemetry;
-    Trace.quarantine_added t.trace ~key ~reason:(reason_tag reason);
+    Trace.emit t.trace
+      (Event.Quarantine_added { key; reason = reason_tag reason });
     checkpoint_tick t
   end
 
@@ -325,8 +342,7 @@ let sample_measurement t ~key ~rng ~instrumented s =
             match Fault.outlier f ~key ~repeat with
             | None -> m
             | Some factor ->
-                Telemetry.outlier t.telemetry;
-                Trace.outlier t.trace ~key;
+                Trace.emit t.trace (Event.Outlier { key });
                 { m with Exec.elapsed_s = m.Exec.elapsed_s *. factor })
       in
       (* Samples must be drawn in repeat order: they share the job stream. *)
@@ -340,8 +356,8 @@ let sample_measurement t ~key ~rng ~instrumented s =
 let run_job t ~toolchain ?outline ~program ~input ~key_str { build; rng } =
   match Quarantine.find t.quarantine key_str with
   | Some reason ->
-      Telemetry.quarantine_hit t.telemetry;
-      Trace.quarantine_hit t.trace ~key:key_str ~reason:(reason_tag reason);
+      Trace.emit t.trace
+        (Event.Quarantine_hit { key = key_str; reason = reason_tag reason });
       outcome_of_reason reason
   | None -> (
       let ice_module =
@@ -359,8 +375,8 @@ let run_job t ~toolchain ?outline ~program ~input ~key_str { build; rng } =
       in
       match ice_module with
       | Some module_name ->
-          Telemetry.build_failure t.telemetry;
-          Trace.fault t.trace ~key:key_str ~fault:"ice";
+          Trace.emit t.trace
+            (Event.Fault_injected { key = key_str; fault = "ice" });
           quarantine_add t key_str (Quarantine.Build_failed module_name);
           Build_failed module_name
       | None -> (
@@ -372,19 +388,19 @@ let run_job t ~toolchain ?outline ~program ~input ~key_str { build; rng } =
                    ~instrumented:(instrumented build) s)
           | Some f ->
               let retry attempt k =
-                Telemetry.retry t.telemetry;
                 let wait = backoff_s t.policy attempt in
-                Telemetry.add_time t.telemetry "backoff" wait;
-                Trace.retry t.trace ~key:key_str ~attempt ~backoff_s:wait;
-                Trace.timer t.trace ~name:"backoff" ~seconds:wait;
+                Trace.emit t.trace
+                  (Event.Retry { key = key_str; attempt; backoff_s = wait });
+                Trace.emit t.trace
+                  (Event.Timer { name = "backoff"; seconds = wait });
                 k (attempt + 1)
               in
               let rec attempt_run attempt =
                 match Fault.run_fault f ~key:key_str ~attempt with
                 | Fault.Run_ok -> validate ()
                 | Fault.Crash { transient } ->
-                    Telemetry.crash t.telemetry;
-                    Trace.fault t.trace ~key:key_str ~fault:"crash";
+                    Trace.emit t.trace
+                      (Event.Fault_injected { key = key_str; fault = "crash" });
                     if transient && attempt < t.policy.max_retries then
                       retry attempt attempt_run
                     else begin
@@ -398,8 +414,9 @@ let run_job t ~toolchain ?outline ~program ~input ~key_str { build; rng } =
                 | Fault.Hang { factor; transient } ->
                     let elapsed_s = factor *. s.Exec.sum_total_s in
                     if elapsed_s > t.policy.timeout_s then begin
-                      Telemetry.timeout t.telemetry;
-                      Trace.fault t.trace ~key:key_str ~fault:"timeout";
+                      Trace.emit t.trace
+                        (Event.Fault_injected
+                           { key = key_str; fault = "timeout" });
                       if transient && attempt < t.policy.max_retries then
                         retry attempt attempt_run
                       else begin
@@ -418,8 +435,9 @@ let run_job t ~toolchain ?outline ~program ~input ~key_str { build; rng } =
                       Fault.corrupt_signature ~key:key_str expected
                     in
                     if observed <> expected then begin
-                      Telemetry.wrong_answer t.telemetry;
-                      Trace.fault t.trace ~key:key_str ~fault:"wrong-answer";
+                      Trace.emit t.trace
+                        (Event.Fault_injected
+                           { key = key_str; fault = "wrong-answer" });
                       quarantine_add t key_str Quarantine.Wrong_answer;
                       Wrong_answer
                     end
@@ -433,10 +451,15 @@ let run_job t ~toolchain ?outline ~program ~input ~key_str { build; rng } =
 
 let try_measure_one t ~toolchain ?outline ~program ~input job =
   let key_str = key ~toolchain ~program ~input job.build in
-  Trace.job_started t.trace ~key:key_str;
+  Trace.emit t.trace (Event.Job_started { key = key_str });
   let outcome = run_job t ~toolchain ?outline ~program ~input ~key_str job in
-  Trace.job_finished t.trace ~key:key_str ~outcome:(outcome_tag outcome)
-    ~elapsed_s:(elapsed outcome);
+  Trace.emit t.trace
+    (Event.Job_finished
+       {
+         key = key_str;
+         outcome = outcome_tag outcome;
+         elapsed_s = elapsed outcome;
+       });
   outcome
 
 let measure_one t ~toolchain ?outline ~program ~input job =
@@ -448,9 +471,11 @@ let measure_one t ~toolchain ?outline ~program ~input job =
 
 (* Everything a forked worker must send home with a job's outcome.  Only
    plain data: the parent's stores are unreachable from a child (fork
-   copies them), so each job runs against a {e shadow} engine — fresh
-   telemetry, a fresh trace of the same clock, no checkpoint, a journal —
-   and the parent replays the deltas.  A worker that dies before its
+   copies them), so each job runs against a {e shadow} engine — a fresh
+   wall-clock sink, no checkpoint, a journal — and the parent replays the
+   deltas: cache and quarantine entries by adoption, the shadow's
+   unprojected events through its own sink's emit point (which is also
+   how they reach the parent's counters).  A worker that dies before its
    shipment is written leaves no partial effect anywhere: crashed
    attempts are invisible, which is exactly the retry semantics the
    logical-trace byte-identity argument needs. *)
@@ -458,35 +483,24 @@ type shipment = {
   sh_outcome : job_outcome;
   sh_cache : (string * Exec.summary) list;
   sh_quar : (string * Quarantine.reason) list;
-  sh_tel : Telemetry.snapshot;
-  sh_trace : (float * Trace.stamped list) option;
+  sh_epoch : float;
+  sh_events : Trace.stamped list;
 }
 
 let worker_shipment t ~toolchain ?outline ~program ~input ~batch (i, job) =
-  let shadow_trace =
-    Option.map (fun tr -> Trace.create ~clock:(Trace.clock tr) ()) t.trace
-  in
+  let shadow = Trace.create ~clock:Trace.Wall () in
   let j = { j_cache = []; j_quar = [] } in
-  let t' =
-    {
-      t with
-      telemetry = Telemetry.create ();
-      trace = shadow_trace;
-      checkpoint = None;
-      journal = Some j;
-    }
-  in
+  let t' = { t with trace = shadow; checkpoint = None; journal = Some j } in
   let outcome =
-    Trace.in_job shadow_trace ~batch ~index:i (fun () ->
+    Trace.in_job shadow ~batch ~index:i (fun () ->
         try_measure_one t' ~toolchain ?outline ~program ~input job)
   in
   {
     sh_outcome = outcome;
     sh_cache = List.rev j.j_cache;
     sh_quar = List.rev j.j_quar;
-    sh_tel = Telemetry.snapshot t'.telemetry;
-    sh_trace =
-      Option.map (fun tr -> (Trace.epoch tr, Trace.events tr)) shadow_trace;
+    sh_epoch = Trace.epoch shadow;
+    sh_events = Trace.events shadow;
   }
 
 (* Replay one worker's deltas onto the parent's stores.  Adoption is
@@ -512,11 +526,8 @@ let merge_shipment t sh =
         checkpoint_tick t
       end)
     sh.sh_quar;
-  Telemetry.absorb t.telemetry sh.sh_tel;
-  (match (t.trace, sh.sh_trace) with
-  | Some tr, Some (epoch, stamps) -> Trace.inject tr ~epoch stamps
-  | _ -> ());
-  Telemetry.tick t.telemetry
+  Trace.replay t.trace ~epoch:sh.sh_epoch sh.sh_events;
+  tick t
 
 (* Run a batch on the forked-worker pool: [jobs] workers on the
    processes backend, [nodes] on the sharded one.  Crashed jobs are
@@ -528,7 +539,7 @@ let merge_shipment t sh =
    to the uninterrupted result. *)
 let pooled_outcomes t ~toolchain ?outline ~program ~input jobs_array =
   let n = Array.length jobs_array in
-  Telemetry.expect t.telemetry n;
+  expect t n;
   let batch = Trace.batch t.trace ~size:n in
   let outcomes = Array.make n None in
   let f = worker_shipment t ~toolchain ?outline ~program ~input ~batch in
@@ -556,11 +567,10 @@ let pooled_outcomes t ~toolchain ?outline ~program ~input jobs_array =
             (* Parity with the domains backend: an exception that escaped
                a healthy worker is a crashed run, not a crashed worker. *)
             outcomes.(i) <- Some (Crashed msg);
-            Telemetry.tick t.telemetry
+            tick t
         | Stdlib.Error (Procpool.Crashed c) ->
             let detail = Procpool.crash_to_string c in
-            Telemetry.worker_crash t.telemetry;
-            Trace.worker_crashed t.trace ~detail;
+            Trace.emit t.trace (Event.Worker_crashed { detail });
             crashed := (i, detail) :: !crashed)
       res;
     List.rev !crashed
@@ -579,7 +589,7 @@ let pooled_outcomes t ~toolchain ?outline ~program ~input jobs_array =
             quarantine_add t key_str
               (Quarantine.Crashed ("worker: " ^ detail));
             outcomes.(i) <- Some (Worker_crashed detail);
-            Telemetry.tick t.telemetry)
+            tick t)
           crashed
   in
   if n > 0 then rounds 0 ~chaos:true (List.init n Fun.id);
@@ -595,14 +605,14 @@ let measure_batch t ~toolchain ?outline ~program ~input jobs_array =
            | Ok m -> m
            | outcome -> raise (Pool.Worker_failure (Job_failed outcome)))
   | Backend.Domains -> (
-      Telemetry.expect t.telemetry (Array.length jobs_array);
+      expect t (Array.length jobs_array);
       let batch = Trace.batch t.trace ~size:(Array.length jobs_array) in
       try
         Pool.map ~jobs:t.jobs
           (fun (i, job) ->
             Trace.in_job t.trace ~batch ~index:i (fun () ->
                 let m = measure_one t ~toolchain ?outline ~program ~input job in
-                Telemetry.tick t.telemetry;
+                tick t;
                 m))
           (Array.mapi (fun i job -> (i, job)) jobs_array)
       with Pool.Worker_failure e when Pool.fatal e -> raise e)
@@ -616,14 +626,14 @@ let try_measure_batch t ~toolchain ?outline ~program ~input jobs_array =
   | Backend.Processes | Backend.Sharded ->
       pooled_outcomes t ~toolchain ?outline ~program ~input jobs_array
   | Backend.Domains ->
-      Telemetry.expect t.telemetry (Array.length jobs_array);
+      expect t (Array.length jobs_array);
       let batch = Trace.batch t.trace ~size:(Array.length jobs_array) in
       (try
          Pool.map_result ~jobs:t.jobs
            (fun (i, job) ->
              Trace.in_job t.trace ~batch ~index:i (fun () ->
                  Fun.protect
-                   ~finally:(fun () -> Telemetry.tick t.telemetry)
+                   ~finally:(fun () -> tick t)
                    (fun () ->
                      try_measure_one t ~toolchain ?outline ~program ~input job)))
            (Array.mapi (fun i job -> (i, job)) jobs_array)

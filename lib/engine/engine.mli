@@ -13,7 +13,9 @@
       checks explicitly);
     - noise-free summaries are memoized in a content-addressed {!Cache}
       (shareable across searches and persistable across runs);
-    - counters and timers accumulate in {!Telemetry}.
+    - every fact (cache traffic, builds, runs, faults, timers) is one
+      {!Ft_obs.Event} emitted into the engine's {!Ft_obs.Trace} sink,
+      whose fold is the {!counters}.
 
     Determinism argument, in full: a [build] value determines the binary
     (compilation and linking are pure), and the binary plus the input
@@ -101,7 +103,6 @@ val create :
   ?kill_workers_after:int ->
   ?nodes:int ->
   ?cache:Cache.t ->
-  ?telemetry:Telemetry.t ->
   ?policy:policy ->
   ?quarantine:Quarantine.t ->
   ?checkpoint:Checkpoint.t ->
@@ -117,15 +118,15 @@ val create :
     [kill_workers_after] arms the deterministic chaos hook (either forked
     backend): on each batch's {e first} round, the first worker SIGKILLs
     itself after completing that many jobs — the crash path's test
-    harness.  A fresh cache, telemetry and quarantine are allocated
-    unless shared ones are passed (e.g. one cache for a whole experiment
-    lab, or a quarantine reloaded from a checkpoint).  When a
-    [checkpoint] is attached, cache and quarantine snapshots are
-    refreshed as state accumulates and on {!flush_checkpoint}.  When a
-    [trace] is attached, every cache lookup, build, run, fault, retry,
-    quarantine decision and job completion is recorded as a typed
-    {!Ft_obs.Event} — with no trace, not a single extra instruction runs
-    on the job path.
+    harness.  A fresh cache and quarantine are allocated unless shared
+    ones are passed (e.g. one cache for a whole experiment lab, or a
+    quarantine reloaded from a checkpoint).  When a [checkpoint] is
+    attached, cache and quarantine snapshots are refreshed as state
+    accumulates and on {!flush_checkpoint}.  Every cache lookup, build,
+    run, fault, retry, quarantine decision and job completion is emitted
+    as a typed {!Ft_obs.Event} into the [trace] sink; without one the
+    engine gets a {!Ft_obs.Trace.counting} sink that only counts.  Pass
+    one sink to several engines to count them together.
     @raise Invalid_argument if [jobs < 1], [nodes < 1],
     [policy.repeats < 1], [policy.max_retries < 0],
     [policy.timeout_s <= 0] or [kill_workers_after < 0]. *)
@@ -138,18 +139,25 @@ val nodes : t -> int
     other backends, as [jobs] is by the sharded one). *)
 
 val cache : t -> Cache.t
-val telemetry : t -> Telemetry.t
 val policy : t -> policy
 val quarantine : t -> Quarantine.t
 val checkpoint : t -> Checkpoint.t option
-val trace : t -> Ft_obs.Trace.t option
 
-val timed : t -> string -> (unit -> 'a) -> 'a
-(** [timed t name f] runs [f], accumulating its wall time both on the
-    telemetry timer [name] and (wall-clock traces only) as a trace
-    {!Ft_obs.Event.Timer} event, keeping the two stores derivable from
-    one another.  Used by the engine for ["build"]/["run"] and by the
-    search layers for their phase timers. *)
+val trace : t -> Ft_obs.Trace.t
+(** The event sink: the [trace] passed to {!create}, or the engine's own
+    counting-only sink. *)
+
+val counters : t -> Ft_obs.Counters.t
+(** The sink's counters: {!Ft_obs.Trace.counters} of {!trace} (the
+    [--stats] source). *)
+
+val set_progress : t -> (completed:int -> expected:int -> unit) -> unit
+(** Install a progress callback, invoked (serialized) after every batch
+    job completes, with the jobs completed and announced so far. *)
+
+val completed : t -> int
+(** Batch jobs completed so far.  The selfcheck oracle reads this off a
+    finished reference run to derive its kill points. *)
 
 val flush_checkpoint : t -> unit
 (** Force a checkpoint snapshot now (no-op without an attached

@@ -109,7 +109,7 @@ let run ?kill_points ?format ~scratch ~label ~make_engine ~search () =
       ~checkpoint:None ~trace:(Some ref_trace)
   in
   let ref_result = search ref_engine in
-  let evaluations = Telemetry.completed (Engine.telemetry ref_engine) in
+  let evaluations = Engine.completed ref_engine in
   let reference = snapshot ~scratch ~tag:"reference" ref_engine ref_trace ref_result in
   let kill_points =
     (match kill_points with
@@ -133,7 +133,7 @@ let run ?kill_points ?format ~scratch ~label ~make_engine ~search () =
       make_engine ~cache:(Cache.create ()) ~quarantine:(Quarantine.create ())
         ~checkpoint:None ~trace:None
     in
-    Telemetry.set_progress (Engine.telemetry doomed)
+    Engine.set_progress doomed
       (fun ~completed ~expected:_ ->
         if completed = n then
           Checkpoint.flush ck ~cache:(Engine.cache doomed)

@@ -6,7 +6,7 @@ module Engine = Ft_engine.Engine
 let rates = [ 0.0; 0.05; 0.1; 0.2; 0.3 ]
 let columns = [ "Random"; "FR"; "CFR" ]
 
-let row ?telemetry ~fault_seed ~seed ~pool_size ~jobs rate =
+let row ?trace ~fault_seed ~seed ~pool_size ~jobs rate =
   let policy =
     if rate = 0.0 then Engine.default_policy
     else
@@ -15,7 +15,7 @@ let row ?telemetry ~fault_seed ~seed ~pool_size ~jobs rate =
         Engine.faults = Some (Ft_fault.Fault.make ~seed:fault_seed ~rate ());
       }
   in
-  let engine = Engine.create ~jobs ?telemetry ~policy () in
+  let engine = Engine.create ~jobs ~policy ?trace () in
   let program = Option.get (Ft_suite.Suite.find "363.swim") in
   let platform = Platform.Broadwell in
   let input = Ft_suite.Suite.tuning_input platform program in
@@ -28,12 +28,12 @@ let row ?telemetry ~fault_seed ~seed ~pool_size ~jobs rate =
   let cfr = Tuner.run_cfr session in
   [ random.Result.speedup; fr.Result.speedup; cfr.Result.speedup ]
 
-let run ?telemetry ?(fault_seed = 1) ~seed ~pool_size ~jobs () =
+let run ?trace ?(fault_seed = 1) ~seed ~pool_size ~jobs () =
   let rows =
     List.map
       (fun rate ->
         ( Printf.sprintf "%g%%" (rate *. 100.0),
-          row ?telemetry ~fault_seed ~seed ~pool_size ~jobs rate ))
+          row ?trace ~fault_seed ~seed ~pool_size ~jobs rate ))
       rates
   in
   Series.make

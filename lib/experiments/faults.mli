@@ -6,9 +6,9 @@
     retried, quarantined and skipped — and return its best {e valid}
     configuration, so speedups degrade gracefully instead of crashing.
     Each rate gets a fresh engine (own cache and quarantine, same fault
-    seed) so rates do not contaminate each other; pass [?telemetry] to
-    aggregate fault/retry/quarantine counters across the sweep for
-    [--stats]. *)
+    seed) so rates do not contaminate each other; pass [?trace] (e.g. the
+    lab engine's sink) to record every sweep engine's events there, which
+    also aggregates their counters for [--stats]. *)
 
 val rates : float list
 (** The swept fault rates: 0, 5, 10, 20 and 30 %. *)
@@ -17,7 +17,7 @@ val columns : string list
 (** ["Random"; "FR"; "CFR"]. *)
 
 val run :
-  ?telemetry:Ft_engine.Telemetry.t ->
+  ?trace:Ft_obs.Trace.t ->
   ?fault_seed:int ->
   seed:int ->
   pool_size:int ->

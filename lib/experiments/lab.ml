@@ -23,8 +23,8 @@ let create ?(seed = 42) ?(pool_size = 1000) ?(top_x = 20) ?(jobs = 1) ?policy
     top_x;
     (* One engine for the whole lab: the measurement cache is shared by
        every (benchmark, platform) cell — keys embed program, platform and
-       input, so cells never collide — and telemetry aggregates across the
-       whole run. *)
+       input, so cells never collide — and its counters aggregate across
+       the whole run. *)
     engine =
       (match engine with
       | Some e -> e
@@ -40,7 +40,6 @@ let create ?(seed = 42) ?(pool_size = 1000) ?(top_x = 20) ?(jobs = 1) ?policy
 let seed t = t.seed
 let pool_size t = t.pool_size
 let engine t = t.engine
-let telemetry t = Ft_engine.Engine.telemetry t.engine
 let rng t label = Rng.of_label (Rng.create t.seed) label
 
 let memo table key compute =

@@ -29,11 +29,9 @@ val pool_size : t -> int
 
 val engine : t -> Ft_engine.Engine.t
 (** The lab-wide evaluation engine: one worker pool, one measurement cache
-    and one telemetry record shared by every session. *)
-
-val telemetry : t -> Ft_engine.Telemetry.t
-(** Aggregated counters/timers across every experiment run so far (the
-    [--stats] source). *)
+    and one event sink shared by every session, so its
+    {!Ft_engine.Engine.counters} aggregate every experiment run so far
+    (the [--stats] source). *)
 
 val session :
   t -> Ft_prog.Platform.t -> Ft_prog.Program.t -> Funcytuner.Tuner.session

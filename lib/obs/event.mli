@@ -46,7 +46,7 @@ type t =
       key : string;
       fault : string;
           (** ["ice"], ["crash"], ["wrong-answer"] or ["timeout"] —
-              mirrors the {!Ft_engine.Telemetry} fault counters *)
+              one {!Counters} fault counter each *)
     }
   | Retry of { key : string; attempt : int; backoff_s : float }
   | Outlier of { key : string }  (** heavy-tailed measurement injected *)
@@ -59,7 +59,8 @@ type t =
   | Checkpoint_saved of { path : string }
   | Checkpoint_loaded of { path : string; entries : int }
   | Timer of { name : string; seconds : float }
-      (** one accumulation onto a telemetry timer (wall clock only) *)
+      (** one accumulation onto a {!Counters} phase timer (wall clock
+          only) *)
   | Phase_begin of { phase : phase }
   | Phase_end of { phase : phase }
   | Prune_kept of { module_name : string; kept : int }

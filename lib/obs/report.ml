@@ -80,89 +80,41 @@ let load path =
 
 (* --- derived counters ------------------------------------------------- *)
 
-type counters = {
-  builds : int;
-  runs : int;
-  cache_hits : int;
-  cache_misses : int;
-  retries : int;
-  build_failures : int;
-  crashes : int;
-  wrong_answers : int;
-  timeouts : int;
-  worker_crashes : int;
-  outliers : int;
-  quarantined : int;
-  quarantine_hits : int;
-  timers : (string * float) list;
-}
-
 (* The hit/miss sequence, in trace order.  Wall traces record the split;
    logical traces record only the queried keys, for which first-occurrence
    = miss reproduces exactly the sequential schedule (the canonical order
    is the [--jobs 1] order, under which the first query of a key is
    always the one that populates the cache). *)
-let lookup_sequence events =
+let resolve_queries events =
   let seen = Hashtbl.create 256 in
-  List.filter_map
-    (fun event ->
-      match event with
-      | Event.Cache_hit _ -> Some true
-      | Event.Cache_miss _ -> Some false
+  List.map
+    (function
       | Event.Cache_query { key } ->
-          if Hashtbl.mem seen key then Some true
+          if Hashtbl.mem seen key then Event.Cache_hit { key }
           else begin
             Hashtbl.add seen key ();
-            Some false
+            Event.Cache_miss { key }
           end
-      | _ -> None)
+      | event -> event)
     events
 
+let lookup_sequence events =
+  List.filter_map
+    (function
+      | Event.Cache_hit _ -> Some true
+      | Event.Cache_miss _ -> Some false
+      | _ -> None)
+    (resolve_queries events)
+
 let derive events =
-  let count p = List.length (List.filter p events) in
-  let lookups = lookup_sequence events in
-  let cache_hits = List.length (List.filter Fun.id lookups) in
-  let cache_misses = List.length lookups - cache_hits in
-  let recorded_builds =
-    count (function Event.Build_done _ -> true | _ -> false)
-  in
-  let recorded_runs = count (function Event.Run_done _ -> true | _ -> false) in
-  let fault kind =
-    count (function
-      | Event.Fault_injected { fault; _ } -> fault = kind
-      | _ -> false)
-  in
-  let timers =
-    List.fold_left
-      (fun acc event ->
-        match event with
-        | Event.Timer { name; seconds } ->
-            let prior = Option.value ~default:0.0 (List.assoc_opt name acc) in
-            (name, prior +. seconds) :: List.remove_assoc name acc
-        | _ -> acc)
-      [] events
-    |> List.sort compare
-  in
+  let c = List.fold_left Counters.step Counters.zero (resolve_queries events) in
+  (* A logical trace suppresses build/run events; the builds actually
+     performed are then exactly the cache misses. *)
   {
-    (* A logical trace suppresses build/run events; the builds actually
-       performed are then exactly the cache misses. *)
-    builds = (if recorded_builds > 0 then recorded_builds else cache_misses);
-    runs = (if recorded_runs > 0 then recorded_runs else cache_misses);
-    cache_hits;
-    cache_misses;
-    retries = count (function Event.Retry _ -> true | _ -> false);
-    build_failures = fault "ice";
-    crashes = fault "crash";
-    wrong_answers = fault "wrong-answer";
-    timeouts = fault "timeout";
-    worker_crashes =
-      count (function Event.Worker_crashed _ -> true | _ -> false);
-    outliers = count (function Event.Outlier _ -> true | _ -> false);
-    quarantined =
-      count (function Event.Quarantine_added _ -> true | _ -> false);
-    quarantine_hits =
-      count (function Event.Quarantine_hit _ -> true | _ -> false);
-    timers;
+    c with
+    Counters.builds =
+      (if c.Counters.builds > 0 then c.builds else c.cache_misses);
+    runs = (if c.runs > 0 then c.runs else c.cache_misses);
   }
 
 (* --- per-phase breakdown ---------------------------------------------- *)
@@ -312,9 +264,10 @@ let render_convergence buf t =
         end
       done
 
-let render_faults buf (c : counters) =
-  let total = c.build_failures + c.crashes + c.wrong_answers + c.timeouts in
-  if total > 0 || c.retries > 0 || c.quarantine_hits > 0 || c.worker_crashes > 0
+let render_faults buf (c : Counters.t) =
+  if
+    Counters.faults c > 0 || c.retries > 0 || c.quarantine_hits > 0
+    || c.worker_crashes > 0
   then begin
     section buf "Faults and recovery:";
     let table = Table.create ~title:"" [ "event"; "count" ] in
@@ -491,22 +444,9 @@ let render_serve buf t =
     Buffer.add_char buf '\n'
   end
 
-let render_counters buf (c : counters) =
+let render_counters buf c =
   section buf "Derived engine counters:";
-  Buffer.add_string buf
-    (Printf.sprintf "  builds      %d\n  runs        %d\n" c.builds c.runs);
-  let lookups = c.cache_hits + c.cache_misses in
-  let pct =
-    if lookups = 0 then 0.0
-    else 100.0 *. float_of_int c.cache_hits /. float_of_int lookups
-  in
-  Buffer.add_string buf
-    (Printf.sprintf "  cache       %d hits / %d misses (%.1f%% hit rate)\n"
-       c.cache_hits c.cache_misses pct);
-  List.iter
-    (fun (name, seconds) ->
-      Buffer.add_string buf (Printf.sprintf "  %-11s %.3f s\n" name seconds))
-    c.timers
+  Buffer.add_string buf (Counters.render c)
 
 let render t =
   let buf = Buffer.create 4096 in

@@ -13,9 +13,8 @@
       evaluations;
     - the fault/retry/quarantine table;
     - per-loop focused pool sizes (CFR's top-X pruning decisions);
-    - the derived {!counters}, which for a wall-clock trace reproduce
-      {!Ft_engine.Telemetry.snapshot} exactly (asserted in the test
-      suite). *)
+    - the derived {!Counters}, rendered exactly as [--stats] renders the
+      live ones (and, for a wall-clock trace, equal to them). *)
 
 type entry = { ts : float; event : Event.t }
 
@@ -27,29 +26,13 @@ val load : string -> (t, string) result
     explains the first malformed line, a missing/foreign header, or an
     event-count mismatch with the header. *)
 
-type counters = {
-  builds : int;
-  runs : int;
-  cache_hits : int;
-  cache_misses : int;
-  retries : int;
-  build_failures : int;
-  crashes : int;
-  wrong_answers : int;
-  timeouts : int;
-  worker_crashes : int;
-  outliers : int;
-  quarantined : int;
-  quarantine_hits : int;
-  timers : (string * float) list;
-}
-(** Mirror of {!Ft_engine.Telemetry.snapshot}, recomputed from events. *)
-
-val derive : Event.t list -> counters
-(** Recompute telemetry from a trace.  Hits/misses come from the recorded
-    split when present, else from [cache_query] first-occurrence; builds
-    and runs fall back to the derived miss count when a logical trace
-    recorded no [build]/[run] events. *)
+val derive : Event.t list -> Counters.t
+(** Fold a trace through {!Counters.step}.  A logical trace records no
+    hit/miss split, so each [cache_query] is first resolved by
+    first-occurrence (the first query of a key is the miss, as under the
+    sequential schedule the canonical order reproduces); builds and runs
+    fall back to the derived miss count when no [build]/[run] events
+    were recorded. *)
 
 val render : t -> string
 (** The multi-section plain-text report. *)

@@ -21,22 +21,31 @@ let shard_count = 16 (* power of two: sharded by domain id, below *)
 
 type t = {
   clock : clock;
+  keep : bool;  (* false: a counting-only sink *)
+  counters : Counters.t Atomic.t;
   t0 : float;
   next_serial : int Atomic.t;
   shards : shard array;
 }
 
-let create ?(clock = Wall) () =
+let make ~clock ~keep =
   {
     clock;
+    keep;
+    counters = Atomic.make Counters.zero;
     t0 = Unix.gettimeofday ();
     next_serial = Atomic.make 0;
     shards =
-      Array.init shard_count (fun _ ->
-          { lock = Mutex.create (); events = [] });
+      (if keep then
+         Array.init shard_count (fun _ ->
+             { lock = Mutex.create (); events = [] })
+       else [||]);
   }
 
+let create ?(clock = Wall) () = make ~clock ~keep:true
+let counting () = make ~clock:Wall ~keep:false
 let clock t = t.clock
+let counters t = Atomic.get t.counters
 
 (* The active job scope of the current domain: (batch serial, job index,
    per-job event counter).  Pool workers process jobs sequentially, so a
@@ -115,18 +124,49 @@ let record t event =
       let serial = Atomic.fetch_and_add t.next_serial 1 in
       record_stamped t { serial; job = -1; seq = 0; ts = now t; event }
 
+(* -- the emit point ----------------------------------------------------- *)
+
+let project clock event =
+  match (clock, event) with
+  | Wall, e -> Some e
+  (* Which racing worker takes the miss is scheduling, not search. *)
+  | Logical, (Event.Cache_hit { key } | Event.Cache_miss { key }) ->
+      Some (Event.Cache_query { key })
+  (* Wall-only schedule detail: who performed the build, inserted the
+     quarantine entry, crashed or saved the snapshot, and for how long. *)
+  | ( Logical,
+      ( Event.Build_done _ | Event.Run_done _ | Event.Timer _
+      | Event.Checkpoint_saved _ | Event.Checkpoint_loaded _
+      | Event.Quarantine_added _ | Event.Worker_crashed _ ) ) ->
+      None
+  | Logical, e -> Some e
+
+let rec count t event =
+  let c = Atomic.get t.counters in
+  let c' = Counters.step c event in
+  if c' != c && not (Atomic.compare_and_set t.counters c c') then count t event
+
+(* Every event enters a sink here: folded into the counters at its full
+   (wall-level) detail, then buffered as the clock's projection of it. *)
+let admit t event keep_projection =
+  count t event;
+  if t.keep then Option.iter keep_projection (project t.clock event)
+
+let emit t event = admit t event (record t)
+
 let epoch t = t.t0
 
-(* Adopt events recorded by a worker process's shadow trace.  The
-   shipment's stamps already carry the canonical (serial, job, seq) key —
-   the parent allocated the batch serial before forking — so adoption is
-   order-free; only wall timestamps need rebasing from the shadow's epoch
-   onto ours (logical stamps are 0 on both sides). *)
-let inject t ~epoch:e0 stamps =
-  let dt = match t.clock with Wall -> e0 -. t.t0 | Logical -> 0.0 in
+(* A worker's shadow stamps already carry the canonical (serial, job,
+   seq) key — the parent allocated the batch serial before forking — so
+   replay is order-free; only wall timestamps need rebasing from the
+   shadow's epoch onto ours (logical stamps are 0). *)
+let replay t ~epoch:e0 stamps =
+  let dt = e0 -. t.t0 in
   List.iter
     (fun st ->
-      record_stamped t (if dt = 0.0 then st else { st with ts = st.ts +. dt }))
+      admit t st.event (fun event ->
+          let ts = match t.clock with Wall -> st.ts +. dt | Logical -> 0.0 in
+          record_stamped t { st with ts; event }))
     stamps
 
 let events t =
@@ -157,167 +197,71 @@ let length t =
 (* -- structure --------------------------------------------------------- *)
 
 let batch t ~size =
-  match t with
-  | None -> 0
-  | Some tr ->
-      let serial = Atomic.fetch_and_add tr.next_serial 1 in
-      (* job = -1 sorts the submission record ahead of the batch's jobs. *)
-      record_stamped tr
-        {
-          serial;
-          job = -1;
-          seq = 0;
-          ts = now tr;
-          event = Event.Batch_submitted { size };
-        };
-      serial
+  if not t.keep then 0
+  else begin
+    let serial = Atomic.fetch_and_add t.next_serial 1 in
+    (* job = -1 sorts the submission record ahead of the batch's jobs. *)
+    record_stamped t
+      {
+        serial;
+        job = -1;
+        seq = 0;
+        ts = now t;
+        event = Event.Batch_submitted { size };
+      };
+    serial
+  end
 
 let in_job t ~batch ~index f =
-  match t with
-  | None -> f ()
-  | Some _ ->
-      let saved = Domain.DLS.get job_scope in
-      Domain.DLS.set job_scope (Some (batch, index, ref 0));
-      Fun.protect
-        ~finally:(fun () ->
-          (* Drain before the scope closes: this runs in the recording
-             domain, so every in-job event is in its shard before the
-             pool can join the batch and a reader can ask for it. *)
-          drain_pending ();
-          Domain.DLS.set job_scope saved)
-        f
-
-let emit t e = match t with None -> () | Some tr -> record tr e
+  if not t.keep then f ()
+  else begin
+    let saved = Domain.DLS.get job_scope in
+    Domain.DLS.set job_scope (Some (batch, index, ref 0));
+    Fun.protect
+      ~finally:(fun () ->
+        (* Drain before the scope closes: this runs in the recording
+           domain, so every in-job event is in its shard before the
+           pool can join the batch and a reader can ask for it. *)
+        drain_pending ();
+        Domain.DLS.set job_scope saved)
+      f
+  end
 
 let span t phase f =
-  match t with
-  | None -> f ()
-  | Some tr ->
-      record tr (Event.Phase_begin { phase });
-      Fun.protect ~finally:(fun () -> record tr (Event.Phase_end { phase })) f
+  emit t (Event.Phase_begin { phase });
+  Fun.protect ~finally:(fun () -> emit t (Event.Phase_end { phase })) f
 
-(* -- emission helpers -------------------------------------------------- *)
-
-let emit_wall t e =
-  match t with Some tr when tr.clock = Wall -> record tr e | _ -> ()
-
-let job_started t ~key = emit t (Event.Job_started { key })
-
-let job_finished t ~key ~outcome ~elapsed_s =
-  emit t (Event.Job_finished { key; outcome; elapsed_s })
-
-let cache_lookup t ~key ~hit =
-  match t with
-  | None -> ()
-  | Some tr ->
-      record tr
-        (match tr.clock with
-        | Wall -> if hit then Event.Cache_hit { key } else Event.Cache_miss { key }
-        | Logical -> Event.Cache_query { key })
-
-let build_done t ~key = emit_wall t (Event.Build_done { key })
-let run_done t ~key = emit_wall t (Event.Run_done { key })
-let fault t ~key ~fault = emit t (Event.Fault_injected { key; fault })
-
-let retry t ~key ~attempt ~backoff_s =
-  emit t (Event.Retry { key; attempt; backoff_s })
-
-let outlier t ~key = emit t (Event.Outlier { key })
-
-let quarantine_added t ~key ~reason =
-  emit_wall t (Event.Quarantine_added { key; reason })
-
-let quarantine_hit t ~key ~reason =
-  emit t (Event.Quarantine_hit { key; reason })
-
-let worker_crashed t ~detail = emit_wall t (Event.Worker_crashed { detail })
-
-let checkpoint_saved t ~path = emit_wall t (Event.Checkpoint_saved { path })
-
-let checkpoint_loaded t ~path ~entries =
-  emit_wall t (Event.Checkpoint_loaded { path; entries })
-
-let timer t ~name ~seconds = emit_wall t (Event.Timer { name; seconds })
-
-let prune_kept t ~module_name ~kept =
-  emit t (Event.Prune_kept { module_name; kept })
-
-(* Adaptive-search rung lifecycle.  Allocator decisions are pure
-   functions of the observed (deterministic) scores, so these are
-   emitted under either clock and kept by normalization: a resumed or
-   re-scheduled run must reproduce the same promotions. *)
-
-let rung_opened t ~rung ~arms ~pulls =
-  emit t (Event.Rung_opened { rung; arms; pulls })
-
-let rung_closed t ~rung ~survivors =
-  emit t (Event.Rung_closed { rung; survivors })
-
-let arm_promoted t ~rung ~arm = emit t (Event.Arm_promoted { rung; arm })
-let arm_eliminated t ~rung ~arm = emit t (Event.Arm_eliminated { rung; arm })
-
-(* Server request-lifecycle events.  Arrival order, coalescing and queue
-   depth are properties of live traffic, not of any one search, so they
-   are recorded under either clock (a server trace is never part of the
-   logical byte-identity contract). *)
-
-let request_received t ~id ~tenant ~fingerprint =
-  emit t (Event.Request_received { id; tenant; fingerprint })
-
-let request_admitted t ~id ~queue_depth =
-  emit t (Event.Request_admitted { id; queue_depth })
-
-let request_coalesced t ~id ~leader =
-  emit t (Event.Request_coalesced { id; leader })
-
-let request_cached t ~id = emit t (Event.Request_cached { id })
-
-let request_rejected t ~id ~reason =
-  emit t (Event.Request_rejected { id; reason })
-
-let group_started t ~fingerprint ~members =
-  emit t (Event.Group_started { fingerprint; members })
-
-let group_finished t ~fingerprint ~members ~run_s =
-  emit t (Event.Group_finished { fingerprint; members; run_s })
-
-let group_cancelled t ~fingerprint = emit t (Event.Group_cancelled { fingerprint })
-let request_expired t ~id = emit t (Event.Request_expired { id })
-
-let request_replayed t ~id ~fingerprint =
-  emit t (Event.Request_replayed { id; fingerprint })
-
-let server_recovered t ~restarts ~replayed ~poisoned =
-  emit t (Event.Server_recovered { restarts; replayed; poisoned })
+let time t name f =
+  let t0 = Unix.gettimeofday () in
+  Fun.protect
+    ~finally:(fun () ->
+      emit t (Event.Timer { name; seconds = Unix.gettimeofday () -. t0 }))
+    f
 
 (* -- resume-invariant normalization ------------------------------------ *)
 
 (* Project an event onto the resume-invariant skeleton (see the .mli for
-   the rule-by-rule rationale), or [None] to drop it. *)
-let normalize_event = function
-  (* Wall-only schedule detail: which worker took the miss, performed the
-     build, saved the snapshot... is scheduling, not search. *)
-  | Event.Cache_hit { key } | Event.Cache_miss { key } ->
-      Some (Event.Cache_query { key })
-  | Event.Build_done _ | Event.Run_done _ | Event.Timer _
-  | Event.Checkpoint_saved _ | Event.Checkpoint_loaded _
-  | Event.Quarantine_added _ | Event.Worker_crashed _ -> None
+   the rule-by-rule rationale), or [None] to drop it: the logical
+   projection, minus the resume boundary and the server's traffic. *)
+let normalize_event event =
+  match project Logical event with
   (* The documented resume boundary: a key whose fault verdict was
      snapshotted replays as one Quarantine_hit instead of the original
      Fault_injected/Retry sequence — same verdict, different evidence. *)
-  | Event.Fault_injected _ | Event.Retry _ | Event.Quarantine_hit _ -> None
+  | Some (Event.Fault_injected _ | Event.Retry _ | Event.Quarantine_hit _) ->
+      None
   (* Server request-lifecycle events are live-traffic facts (arrival
      order, coalescing, queue depth), not search facts: a resumed search
      owes them nothing, so they are outside the invariant skeleton. *)
-  | Event.Request_received _ | Event.Request_admitted _
-  | Event.Request_coalesced _ | Event.Request_cached _
-  | Event.Request_rejected _ | Event.Group_started _
-  | Event.Group_finished _ | Event.Group_cancelled _
-  | Event.Request_expired _ | Event.Request_replayed _
-  | Event.Server_recovered _ -> None
-  | e -> Some e
-
-let resume_invariant st = Option.is_some (normalize_event st.event)
+  | Some
+      ( Event.Request_received _ | Event.Request_admitted _
+      | Event.Request_coalesced _ | Event.Request_cached _
+      | Event.Request_rejected _ | Event.Group_started _
+      | Event.Group_finished _ | Event.Group_cancelled _
+      | Event.Request_expired _ | Event.Request_replayed _
+      | Event.Server_recovered _ ) ->
+      None
+  | projected -> projected
 
 let normalized_lines ?(is_quarantined = fun _ -> false) t =
   List.filter_map

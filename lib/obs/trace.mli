@@ -1,4 +1,13 @@
-(** The in-memory trace buffer: where events accumulate during a run.
+(** The event sink: where every engine, search and server fact enters.
+
+    {2 Emission}
+
+    {!emit} is the one emit point.  It folds the event, at its full
+    wall-level detail, into the sink's {!Counters} (the live [--stats]
+    numbers), then buffers the clock's {e projection} of it (see Clock
+    modes).  A counting-only sink ({!counting}, what an engine gets when
+    no trace is asked for) folds and buffers nothing, allocates no batch
+    serials and opens no job scopes, so an untraced run records nothing.
 
     {2 Recording}
 
@@ -7,10 +16,6 @@
     in one of a fixed set of mutex-sharded buffers keyed by the recording
     domain; ordering is reconstructed afterwards (see below), never from
     arrival time.
-
-    Every emission helper takes a [t option] and is a no-op on [None], so
-    call sites stay one-liners and a trace-less run executes the exact
-    code path it always did.
 
     {2 Ordering and determinism}
 
@@ -33,12 +38,13 @@
     {2 Clock modes}
 
     [Wall] stamps events with monotonic seconds since trace creation and
-    additionally records the schedule-dependent events (hit/miss split,
-    builds/runs performed, timer accumulations, checkpoint saves) that
-    make the {!Ft_engine.Telemetry} counters derivable from the trace.
-    [Logical] suppresses those — cache lookups degrade to {!Event.Cache_query}
-    — and stamps nothing but the canonical order itself, making the
-    exported bytes reproducible. *)
+    buffers every event as emitted, including the schedule-dependent ones
+    (hit/miss split, builds/runs performed, timer accumulations,
+    checkpoint saves/loads, quarantine insertions, worker crashes), so an
+    exported wall trace folds back to exactly the live counters.
+    [Logical] projects those away — a hit or miss is buffered as
+    {!Event.Cache_query}, the rest are dropped — and stamps nothing but
+    the canonical order itself, making the exported bytes reproducible. *)
 
 type clock = Wall | Logical
 
@@ -52,7 +58,18 @@ type t
 val create : ?clock:clock -> unit -> t
 (** A fresh, empty trace ([clock] defaults to [Wall]). *)
 
+val counting : unit -> t
+(** A counting-only sink: it folds every event into its counters and
+    buffers none ({!events} stays empty). *)
+
 val clock : t -> clock
+
+val counters : t -> Counters.t
+(** Everything emitted into (or replayed onto) this sink so far, folded. *)
+
+val emit : t -> Event.t -> unit
+(** The emit point: fold [event] into the counters, then buffer the
+    clock's projection of it, stamped in the current job scope (if any). *)
 
 type stamped = {
   serial : int;  (** main-thread sequence number, or the batch's *)
@@ -68,109 +85,39 @@ val events : t -> stamped list
 val epoch : t -> float
 (** The trace's creation time (absolute [Unix.gettimeofday]), i.e. what
     [Wall] timestamps are relative to.  A worker process ships this with
-    its events so {!inject} can rebase them onto the parent's epoch. *)
+    its events so {!replay} can rebase them onto the parent's epoch. *)
 
-val inject : t -> epoch:float -> stamped list -> unit
-(** Adopt stamps recorded by a worker's shadow trace (processes backend).
-    The canonical keys are preserved verbatim — the parent allocated the
-    batch serial before forking, so they already sort correctly — and
-    [Wall] timestamps are rebased from the shadow's [epoch] onto this
-    trace's; [Logical] stamps are untouched (all zero). *)
+val replay : t -> epoch:float -> stamped list -> unit
+(** Emit the stamps a forked worker's shadow sink recorded (a [Wall]
+    trace, so unprojected) through this sink's emit point: each event is
+    folded into the counters and its projection buffered under its
+    original canonical key — the parent allocated the batch serial
+    before forking, so the keys already sort correctly.  [Wall]
+    timestamps are rebased from the shadow's [epoch] onto this trace's;
+    [Logical] ones are 0. *)
 
 val length : t -> int
 
-(* -- structure: batches, job scopes, phase spans ----------------------- *)
+(* -- structure: batches, job scopes, phase spans, timers -------------- *)
 
-val batch : t option -> size:int -> int
+val batch : t -> size:int -> int
 (** Record a {!Event.Batch_submitted} and return the batch serial to pass
-    to {!in_job} (0 when the trace is [None] — the value is then unused). *)
+    to {!in_job} (0 on a counting-only sink — the value is then unused). *)
 
-val in_job : t option -> batch:int -> index:int -> (unit -> 'a) -> 'a
+val in_job : t -> batch:int -> index:int -> (unit -> 'a) -> 'a
 (** Run a job's body with emissions attributed to [(batch, index)] via
     domain-local state.  Scopes nest save/restore, so a sequential pool
     running jobs on the main domain is handled too. *)
 
-val span : t option -> Event.phase -> (unit -> 'a) -> 'a
+val span : t -> Event.phase -> (unit -> 'a) -> 'a
 (** Bracket [f] with {!Event.Phase_begin}/{!Event.Phase_end} (emitted even
     if [f] raises). *)
 
-(* -- emission helpers (each a no-op on [None]) ------------------------- *)
-
-val job_started : t option -> key:string -> unit
-
-val job_finished :
-  t option -> key:string -> outcome:string -> elapsed_s:float option -> unit
-
-val cache_lookup : t option -> key:string -> hit:bool -> unit
-(** Records {!Event.Cache_hit}/{!Event.Cache_miss} under a [Wall] clock;
-    under [Logical] both sides collapse to {!Event.Cache_query}, because
-    which racing worker takes the miss is scheduling, not search. *)
-
-val build_done : t option -> key:string -> unit  (** [Wall] only *)
-
-val run_done : t option -> key:string -> unit  (** [Wall] only *)
-
-val fault : t option -> key:string -> fault:string -> unit
-
-val retry : t option -> key:string -> attempt:int -> backoff_s:float -> unit
-
-val outlier : t option -> key:string -> unit
-
-val quarantine_added : t option -> key:string -> reason:string -> unit
-(** [Wall] only: under workers racing on one faulty key, {e who} inserts
-    is scheduling (cf. {!cache_lookup}). *)
-
-val quarantine_hit : t option -> key:string -> reason:string -> unit
-
-val worker_crashed : t option -> detail:string -> unit
-(** [Wall] only: a crashed attempt is retried to the same logical events,
-    so logical traces stay byte-identical across backends and kills. *)
-
-val checkpoint_saved : t option -> path:string -> unit  (** [Wall] only *)
-
-val checkpoint_loaded : t option -> path:string -> entries:int -> unit
-(** [Wall] only *)
-
-val timer : t option -> name:string -> seconds:float -> unit
-(** [Wall] only: durations are wall-clock facts. *)
-
-val prune_kept : t option -> module_name:string -> kept:int -> unit
-
-val rung_opened : t option -> rung:int -> arms:int -> pulls:int -> unit
-val rung_closed : t option -> rung:int -> survivors:int -> unit
-val arm_promoted : t option -> rung:int -> arm:int -> unit
-
-val arm_eliminated : t option -> rung:int -> arm:int -> unit
-(** Adaptive-sh allocator decisions (see {!Event.Rung_opened} et al.):
-    deterministic search facts, emitted under either clock and kept by
-    {!normalized_lines}. *)
-
-(** {3 Server request-lifecycle events}
-
-    Emitted by {!Ft_serve.Server} at each step of a request's life
-    (receive → admit/coalesce/reject → group run → respond), under
-    either clock: they describe live traffic, which no determinism
-    contract covers, and [funcy report] renders them as the server
-    section.  All are dropped by {!normalized_lines}. *)
-
-val request_received :
-  t option -> id:string -> tenant:string -> fingerprint:string -> unit
-
-val request_admitted : t option -> id:string -> queue_depth:int -> unit
-val request_coalesced : t option -> id:string -> leader:string -> unit
-val request_cached : t option -> id:string -> unit
-val request_rejected : t option -> id:string -> reason:string -> unit
-val group_started : t option -> fingerprint:string -> members:int -> unit
-
-val group_finished :
-  t option -> fingerprint:string -> members:int -> run_s:float -> unit
-
-val group_cancelled : t option -> fingerprint:string -> unit
-val request_expired : t option -> id:string -> unit
-val request_replayed : t option -> id:string -> fingerprint:string -> unit
-
-val server_recovered :
-  t option -> restarts:int -> replayed:int -> poisoned:int -> unit
+val time : t -> string -> (unit -> 'a) -> 'a
+(** [time t name f] runs [f] and emits its wall duration as an
+    {!Event.Timer} [name] (even if [f] raises): the [--stats] phase
+    timers.  Timed phases inside parallel workers accumulate CPU-side:
+    their sum may exceed elapsed wall time. *)
 
 (** {2 Resume-invariant normalization}
 
@@ -196,15 +143,12 @@ val server_recovered :
       verdict queries the cache on the way to the fault, replaying it
       from a snapshot does not.
 
-    Everything else — batch structure, job starts/finishes with outcomes,
-    cache queries, outlier degradations, phase spans, prune decisions —
-    must be byte-identical between a fresh and a resumed run, at any
+    Server request-lifecycle events describe live traffic, which no
+    resume owes anything, and are dropped as well.  Everything else —
+    batch structure, job starts/finishes with outcomes, cache queries,
+    outlier degradations, phase spans, prune and rung decisions — must
+    be byte-identical between a fresh and a resumed run, at any
     [--jobs] count, on either backend. *)
-
-val resume_invariant : stamped -> bool
-(** Does this event's {e kind} survive normalization?  (The per-key
-    [Cache_query] rule needs quarantine context this predicate does not
-    have; it treats all cache queries as invariant.) *)
 
 val normalized_lines : ?is_quarantined:(string -> bool) -> t -> string list
 (** The resume-invariant skeleton of the trace: events in canonical

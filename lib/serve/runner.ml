@@ -1,6 +1,5 @@
 module Engine = Ft_engine.Engine
 module Pool = Ft_engine.Pool
-module Telemetry = Ft_engine.Telemetry
 module Checkpoint = Ft_engine.Checkpoint
 module Result = Funcytuner.Result
 module Tuner = Funcytuner.Tuner
@@ -64,10 +63,9 @@ let search ~engine (spec : Protocol.tune_spec) =
    propagate, so the supervisor (and the journal's crash accounting)
    sees a real crash and a cancellation unwinds to its catcher. *)
 let run_search ~engine spec ~tick =
-  let telemetry = Engine.telemetry engine in
-  Telemetry.set_progress telemetry (fun ~completed:_ ~expected:_ -> tick ());
+  Engine.set_progress engine (fun ~completed:_ ~expected:_ -> tick ());
   Fun.protect ~finally:(fun () ->
-      Telemetry.set_progress telemetry (fun ~completed:_ ~expected:_ -> ()))
+      Engine.set_progress engine (fun ~completed:_ ~expected:_ -> ()))
   @@ fun () ->
   match search ~engine spec with
   | result ->

@@ -47,7 +47,7 @@ val algorithms : string list
     ["cfr-adaptive"], ["adaptive-sh"], ["fr"], ["random"]. *)
 
 val make : engine:Ft_engine.Engine.t -> t
-(** A shared-engine runner.  [run] installs a telemetry progress
+(** A shared-engine runner.  [run] installs an engine progress
     callback for the duration of each search (restoring none after) and
     renders outcomes with {!Ft_core.Result.render}. *)
 
@@ -71,4 +71,6 @@ val make_durable :
     {!Ft_engine.Cache.default_format}) pins the snapshots' cache
     format; either format resumes.  Snapshot files are removed once the
     search completes (the journal's [completed] record is the durable
-    result — see {!Journal}). *)
+    result — see {!Journal}).  A [make_engine] that passes every engine
+    one sink ([Engine.create ~trace]) counts all requests together: the
+    daemon's [--stats]. *)

@@ -1,6 +1,6 @@
 module Framing = Ft_framing.Framing
 module Trace = Ft_obs.Trace
-module Telemetry = Ft_engine.Telemetry
+module Event = Ft_obs.Event
 module Clock = Ft_util.Clock
 
 type config = {
@@ -41,8 +41,7 @@ type payload = conn option
 type state = {
   config : config;
   runner : Runner.t;
-  trace : Trace.t option;
-  telemetry : Telemetry.t option;
+  trace : Trace.t;
   listener : Unix.file_descr;
   sched : payload Scheduler.t;
   journal : Journal.t option;
@@ -64,8 +63,7 @@ let with_lock st f =
   Mutex.lock st.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock st.lock) f
 
-let timed st name f =
-  match st.telemetry with None -> f () | Some t -> Telemetry.time t name f
+let emit st event = Trace.emit st.trace event
 
 let journal st record =
   match st.journal with None -> () | Some j -> Journal.append j record
@@ -126,8 +124,9 @@ let answer st (m : payload Scheduler.member) resp =
 
 let reject st conn ~id reason =
   ignore (Scheduler.refuse st.sched reason);
-  Trace.request_rejected st.trace ~id
-    ~reason:(Protocol.reject_reason_to_string reason);
+  emit st
+    (Event.Request_rejected
+       { id; reason = Protocol.reject_reason_to_string reason });
   respond_and_close st conn (Protocol.Rejected { id; reason })
 
 (* The deterministic chaos hook: SIGKILL ourselves the instant the Nth
@@ -144,7 +143,7 @@ let chaos_tick st =
 
 let handle_tune st conn ~id ~tenant ~deadline_ms spec =
   let fingerprint = Protocol.fingerprint spec in
-  Trace.request_received st.trace ~id ~tenant ~fingerprint;
+  emit st (Event.Request_received { id; tenant; fingerprint });
   (* Scheduler members carry monotonic deadlines (a wall-clock step must
      not expire — or resurrect — queued requests); the journal persists
      the wall-clock equivalent, the only clock that survives a restart. *)
@@ -180,7 +179,7 @@ let handle_tune st conn ~id ~tenant ~deadline_ms spec =
               (Journal.Accepted
                  { id; tenant; fingerprint; spec; deadline = wall_deadline });
             let queue_depth = Scheduler.queue_depth st.sched in
-            Trace.request_admitted st.trace ~id ~queue_depth;
+            emit st (Event.Request_admitted { id; queue_depth });
             ignore (write_resp st conn (Protocol.Admitted { id; queue_depth }));
             chaos_tick st
         | Scheduler.Joined { leader } ->
@@ -188,13 +187,13 @@ let handle_tune st conn ~id ~tenant ~deadline_ms spec =
             journal st
               (Journal.Accepted
                  { id; tenant; fingerprint; spec; deadline = wall_deadline });
-            Trace.request_coalesced st.trace ~id ~leader;
+            emit st (Event.Request_coalesced { id; leader });
             (if write_resp st conn (Protocol.Coalesced { id; leader }) then
                if st.running_fp = Some fingerprint then
                  ignore (write_resp st conn (Protocol.Started { id })));
             chaos_tick st
         | Scheduler.Memoized { text; speedup; evaluations } ->
-            Trace.request_cached st.trace ~id;
+            emit st (Event.Request_cached { id });
             respond_and_close st conn
               (Protocol.Result
                  {
@@ -208,8 +207,9 @@ let handle_tune st conn ~id ~tenant ~deadline_ms spec =
                    text;
                  })
         | Scheduler.Refused reason ->
-            Trace.request_rejected st.trace ~id
-              ~reason:(Protocol.reject_reason_to_string reason);
+            emit st
+              (Event.Request_rejected
+                 { id; reason = Protocol.reject_reason_to_string reason });
             respond_and_close st conn (Protocol.Rejected { id; reason }))
 
 let handle_frame st conn frame =
@@ -267,7 +267,7 @@ let sweep_deadlines st =
   | gone ->
       List.iter
         (fun (_fp, (m : payload Scheduler.member)) ->
-          Trace.request_expired st.trace ~id:m.Scheduler.id;
+          emit st (Event.Request_expired { id = m.Scheduler.id });
           journal st (Journal.Dropped { id = m.Scheduler.id });
           (match m.payload with
           | Some conn -> conn.waiting <- None
@@ -296,7 +296,7 @@ let drain_sockets st ~timeout =
 let cancel_group st ~fingerprint =
   let members = Scheduler.cancel st.sched ~fingerprint in
   journal st (Journal.Cancelled { fingerprint });
-  Trace.group_cancelled st.trace ~fingerprint;
+  emit st (Event.Group_cancelled { fingerprint });
   (* Normally empty — cancellation fires because everyone left — but any
      racer gets a clean terminal rather than silence. *)
   List.iter
@@ -319,8 +319,9 @@ let run_group st (spec, fingerprint) =
             st.running_fp <- Some fingerprint;
             st.run_ticks <- 0;
             journal st (Journal.Started { fingerprint });
-            Trace.group_started st.trace ~fingerprint
-              ~members:(List.length members);
+            emit st
+              (Event.Group_started
+                 { fingerprint; members = List.length members });
             List.iter
               (fun (m : payload Scheduler.member) ->
                 notify st m (Protocol.Started { id = m.Scheduler.id }))
@@ -347,7 +348,7 @@ let run_group st (spec, fingerprint) =
     let t0 = Clock.now () in
     let result =
       match
-        timed st "serve.run" (fun () ->
+        Trace.time st.trace "serve.run" (fun () ->
             st.runner.Runner.run spec ~fingerprint ~tick)
       with
       | result -> `Finished result
@@ -364,7 +365,8 @@ let run_group st (spec, fingerprint) =
         journal st (Journal.Completed { fingerprint; outcome });
         let members = Scheduler.complete st.sched ~fingerprint outcome in
         let group_size = List.length members in
-        Trace.group_finished st.trace ~fingerprint ~members:group_size ~run_s;
+        emit st
+          (Event.Group_finished { fingerprint; members = group_size; run_s });
         let leader =
           match members with m :: _ -> m.Scheduler.id | [] -> ""
         in
@@ -390,8 +392,9 @@ let run_group st (spec, fingerprint) =
     | `Finished (Error message) ->
         journal st (Journal.Failed { fingerprint });
         let members = Scheduler.fail st.sched ~fingerprint in
-        Trace.group_finished st.trace ~fingerprint
-          ~members:(List.length members) ~run_s;
+        emit st
+          (Event.Group_finished
+             { fingerprint; members = List.length members; run_s });
         List.iter
           (fun (m : payload Scheduler.member) ->
             (match m.payload with Some c -> c.waiting <- None | None -> ());
@@ -471,8 +474,9 @@ let recover st (replay : Journal.replay) =
         with
         | Scheduler.Fresh | Scheduler.Joined _ ->
             st.replayed <- st.replayed + 1;
-            Trace.request_replayed st.trace ~id:p.Journal.p_id
-              ~fingerprint:p.Journal.p_fingerprint
+            emit st
+              (Event.Request_replayed
+                 { id = p.Journal.p_id; fingerprint = p.Journal.p_fingerprint })
         | Scheduler.Memoized _ | Scheduler.Refused _ ->
             (* Already answerable (or inadmissible): nothing to re-run. *)
             journal st (Journal.Dropped { id = p.Journal.p_id }))
@@ -480,8 +484,13 @@ let recover st (replay : Journal.replay) =
   st.restarts <- replay.Journal.boots;
   journal st Journal.Boot;
   if st.journal <> None then
-    Trace.server_recovered st.trace ~restarts:st.restarts ~replayed:st.replayed
-      ~poisoned:(Hashtbl.length st.poisoned);
+    emit st
+      (Event.Server_recovered
+         {
+           restarts = st.restarts;
+           replayed = st.replayed;
+           poisoned = Hashtbl.length st.poisoned;
+         });
   if st.restarts > 0 || st.replayed > 0 then
     Printf.eprintf "serve: recovered journal (boot %d, %d replayed, %d poisoned)\n%!"
       (st.restarts + 1) st.replayed
@@ -489,7 +498,7 @@ let recover st (replay : Journal.replay) =
 
 (* -- lifecycle ---------------------------------------------------------- *)
 
-let serve ?trace ?telemetry ?on_ready config runner =
+let serve ?(trace = Trace.counting ()) ?on_ready config runner =
   claim_socket config.socket_path;
   let journal_handle, replay =
     match config.state_dir with
@@ -512,7 +521,6 @@ let serve ?trace ?telemetry ?on_ready config runner =
       config;
       runner;
       trace;
-      telemetry;
       listener;
       sched = Scheduler.create ~max_queue:config.max_queue;
       journal = journal_handle;
@@ -555,7 +563,7 @@ let serve ?trace ?telemetry ?on_ready config runner =
     | None ->
         if st.stop && with_lock st (fun () -> Scheduler.idle st.sched) then ()
         else begin
-          timed st "serve.wait" (fun () ->
+          Trace.time st.trace "serve.wait" (fun () ->
               with_lock st (fun () ->
                   sweep_deadlines st;
                   drain_sockets st ~timeout:0.2));

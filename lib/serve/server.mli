@@ -68,7 +68,6 @@ val default_config : socket_path:string -> config
 
 val serve :
   ?trace:Ft_obs.Trace.t ->
-  ?telemetry:Ft_engine.Telemetry.t ->
   ?on_ready:(unit -> unit) ->
   config ->
   Runner.t ->
@@ -80,6 +79,7 @@ val serve :
     {e live} daemon answering on it makes [serve] fail rather than
     orphan that daemon's clients.  [on_ready] fires once the socket is
     accepting — the hook tests and scripts use instead of polling.
-    [telemetry] accumulates [serve.wait] (blocked in select) and
-    [serve.run] (searching) timers; [trace] records the request
-    lifecycle events. *)
+    [trace] (default: a counting-only sink) receives the request
+    lifecycle events and the [serve.wait] (blocked in select) and
+    [serve.run] (searching) {!Ft_obs.Event.Timer}s; pass the engines'
+    sink to count them together for [--stats]. *)

@@ -50,3 +50,19 @@ let rec remove_tree path =
     Unix.rmdir path
   end
   else Sys.remove path
+
+(* Whole-record equality for engine counters, printing every field on a
+   mismatch. *)
+let counters =
+  let pp ppf (c : Ft_obs.Counters.t) =
+    Format.fprintf ppf
+      "{builds %d; runs %d; hits %d; misses %d; retries %d; ice %d; crashes \
+       %d; wrong %d; timeouts %d; worker_crashes %d; outliers %d; \
+       quarantined %d; quarantine_hits %d; timers [%s]}"
+      c.builds c.runs c.cache_hits c.cache_misses c.retries c.build_failures
+      c.crashes c.wrong_answers c.timeouts c.worker_crashes c.outliers
+      c.quarantined c.quarantine_hits
+      (String.concat "; "
+         (List.map (fun (n, ns) -> Printf.sprintf "%s %d ns" n ns) c.timers))
+  in
+  Alcotest.testable pp ( = )

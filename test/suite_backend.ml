@@ -14,7 +14,6 @@ module Atomic_file = Ft_engine.Atomic_file
 module Cache = Ft_engine.Cache
 module Quarantine = Ft_engine.Quarantine
 module Engine = Ft_engine.Engine
-module Telemetry = Ft_engine.Telemetry
 module Checkpoint = Ft_engine.Checkpoint
 module Exec = Ft_machine.Exec
 module Trace = Ft_obs.Trace
@@ -187,7 +186,7 @@ let rejects_bad_workers { name; map } () =
 
 (* One full tune under a given backend and jobs count, with a logical
    trace attached: returns the algorithm's result and the trace bytes.
-   The engine is created explicitly so the trace and telemetry are ours
+   The engine is created explicitly so the trace and counters are ours
    to inspect. *)
 let run_algo ?kill_workers_after ?checkpoint ~backend ~jobs algo =
   let trace = Trace.create ~clock:Trace.Logical () in
@@ -318,7 +317,7 @@ let test_differential_survives_worker_kills () =
   (* The acceptance property end-to-end: SIGKILL a worker on the first
      round of every batch, and the tune must still be byte-identical —
      result and logical trace — to an uninterrupted domains -j1 run,
-     with the crashes visible in telemetry (and only there). *)
+     with the crashes visible in the counters (and only there). *)
   let base_result, base_bytes, _ =
     run_algo ~backend:Backend.Domains ~jobs:1 `Cfr
   in
@@ -329,9 +328,9 @@ let test_differential_survives_worker_kills () =
     (result = base_result);
   Alcotest.(check string) "logical trace identical despite kills"
     base_bytes bytes;
-  let s = Telemetry.snapshot (Engine.telemetry engine) in
+  let s = Engine.counters engine in
   Alcotest.(check bool) "the kills actually happened" true
-    (s.Telemetry.worker_crashes > 0)
+    (s.Ft_obs.Counters.worker_crashes > 0)
 
 let test_differential_survives_node_kills () =
   (* The same acceptance property on the sharded spelling: SIGKILL a node
@@ -348,9 +347,9 @@ let test_differential_survives_node_kills () =
     (result = base_result);
   Alcotest.(check string) "logical trace identical despite node kills"
     base_bytes bytes;
-  let s = Telemetry.snapshot (Engine.telemetry engine) in
+  let s = Engine.counters engine in
   Alcotest.(check bool) "the node kills actually happened" true
-    (s.Telemetry.worker_crashes > 0)
+    (s.Ft_obs.Counters.worker_crashes > 0)
 
 (* --- differential: text vs binary cache format -------------------------- *)
 
@@ -464,9 +463,9 @@ let test_worker_crash_exhausts_to_outcome () =
       | o -> Alcotest.fail ("unexpected outcome: " ^ Engine.outcome_to_string o))
     outcomes;
   Alcotest.(check int) "exactly the in-flight job is lost" 1 !crashed;
-  let s = Telemetry.snapshot (Engine.telemetry engine) in
-  Alcotest.(check int) "telemetry counts the crash" 1
-    s.Telemetry.worker_crashes;
+  let s = Engine.counters engine in
+  Alcotest.(check int) "counters count the crash" 1
+    s.Ft_obs.Counters.worker_crashes;
   Alcotest.(check bool) "crashed key quarantined" true
     (Quarantine.length (Engine.quarantine engine) > 0)
 
@@ -489,8 +488,8 @@ let test_worker_crash_retries_recover () =
   in
   Alcotest.(check bool) "retried batch bit-identical to domains" true
     (got = expected);
-  let s = Telemetry.snapshot (Engine.telemetry engine) in
-  Alcotest.(check int) "one crash recorded" 1 s.Telemetry.worker_crashes;
+  let s = Engine.counters engine in
+  Alcotest.(check int) "one crash recorded" 1 s.Ft_obs.Counters.worker_crashes;
   Alcotest.(check int) "no crash survives to quarantine" 0
     (Quarantine.length (Engine.quarantine engine))
 
@@ -518,17 +517,17 @@ let test_node_crash_exhausts_to_outcome () =
       | o -> Alcotest.fail ("unexpected outcome: " ^ Engine.outcome_to_string o))
     outcomes;
   Alcotest.(check int) "exactly the in-flight job is lost" 1 !crashed;
-  let s = Telemetry.snapshot (Engine.telemetry engine) in
-  Alcotest.(check int) "telemetry counts the crash" 1
-    s.Telemetry.worker_crashes;
+  let s = Engine.counters engine in
+  Alcotest.(check int) "counters count the crash" 1
+    s.Ft_obs.Counters.worker_crashes;
   Alcotest.(check bool) "crashed key quarantined" true
     (Quarantine.length (Engine.quarantine engine) > 0)
 
 let test_worker_crashes_derivable_from_trace () =
   (* Crashes are wall-trace events like every other counter: deriving
-     counters from the trace must reproduce telemetry exactly, kills
-     included (the processes-backend extension of suite_obs's
-     check_counters property). *)
+     counters from the trace must reproduce the live ones exactly, kills
+     and replayed worker shipments included (the processes-backend
+     extension of suite_obs's check_counters property). *)
   let trace = Trace.create ~clock:Trace.Wall () in
   let engine =
     Engine.create ~jobs:3 ~backend:Backend.Processes ~kill_workers_after:1
@@ -537,14 +536,14 @@ let test_worker_crashes_derivable_from_trace () =
   ignore
     (Engine.try_measure_batch engine ~toolchain ~program:swim ~input
        (sample_jobs 12));
-  let s = Telemetry.snapshot (Engine.telemetry engine) in
+  let s = Engine.counters engine in
   let d =
     Ft_obs.Report.derive
       (List.map (fun st -> st.Trace.event) (Trace.events trace))
   in
-  Alcotest.(check bool) "kills happened" true (s.Telemetry.worker_crashes > 0);
-  Alcotest.(check int) "worker_crashes derivable from wall trace"
-    s.Telemetry.worker_crashes d.Ft_obs.Report.worker_crashes
+  Alcotest.(check bool) "kills happened" true
+    (s.Ft_obs.Counters.worker_crashes > 0);
+  Alcotest.check Test_helpers.counters "counters derivable from wall trace" s d
 
 (* --- shared cache across processes ------------------------------------ *)
 

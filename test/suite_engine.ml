@@ -1,11 +1,10 @@
 (* Tests for the parallel evaluation engine: worker-pool order and error
    discipline, deterministic parallelism of the searches built on it,
-   cache round-trips and hit accounting, telemetry. *)
+   cache round-trips and hit accounting, counters and progress. *)
 
 open Ft_prog
 module Pool = Ft_engine.Pool
 module Cache = Ft_engine.Cache
-module Telemetry = Ft_engine.Telemetry
 module Engine = Ft_engine.Engine
 module Exec = Ft_machine.Exec
 module Context = Funcytuner.Context
@@ -13,6 +12,8 @@ module Collection = Funcytuner.Collection
 module Result = Funcytuner.Result
 module Tuner = Funcytuner.Tuner
 module Rng = Ft_util.Rng
+module Trace = Ft_obs.Trace
+module Counters = Ft_obs.Counters
 
 let program = Option.get (Ft_suite.Suite.find "363.swim")
 let platform = Platform.Broadwell
@@ -269,11 +270,11 @@ let test_cache_hit_counting () =
   let third = summary () in
   Alcotest.(check bool) "hits return the same summary" true
     (first = again && again = third);
-  let s = Telemetry.snapshot (Engine.telemetry engine) in
-  Alcotest.(check int) "one miss" 1 s.Telemetry.cache_misses;
-  Alcotest.(check int) "two hits" 2 s.Telemetry.cache_hits;
-  Alcotest.(check int) "one build" 1 s.Telemetry.builds;
-  Alcotest.(check int) "one run" 1 s.Telemetry.runs
+  let s = Engine.counters engine in
+  Alcotest.(check int) "one miss" 1 s.Counters.cache_misses;
+  Alcotest.(check int) "two hits" 2 s.Counters.cache_hits;
+  Alcotest.(check int) "one build" 1 s.Counters.builds;
+  Alcotest.(check int) "one run" 1 s.Counters.runs
 
 let test_preloaded_cache_changes_nothing () =
   (* Warming an engine with a persisted cache must not change any measured
@@ -296,8 +297,8 @@ let test_preloaded_cache_changes_nothing () =
       Alcotest.(check bool) "warm result bit-identical" true
         (cold.Result.speedup = warm.Result.speedup
         && cold.Result.trace = warm.Result.trace);
-      let s = Telemetry.snapshot (Engine.telemetry warm_engine) in
-      Alcotest.(check int) "warm run never built" 0 s.Telemetry.builds)
+      let s = Engine.counters warm_engine in
+      Alcotest.(check int) "warm run never built" 0 s.Counters.builds)
 
 let test_key_sensitivity () =
   let key build = Engine.key ~toolchain ~program ~input build in
@@ -322,37 +323,38 @@ let test_key_sensitivity () =
        (Engine.Assigned
           { assignment = [ ("b", Ft_flags.Cv.o2); ("a", cv) ]; instrumented = false }))
 
-(* --- telemetry -------------------------------------------------------------- *)
+(* --- counters and progress ------------------------------------------------- *)
 
-let test_telemetry_progress_and_timers () =
-  let t = Telemetry.create () in
+let test_progress_and_timers () =
+  let engine = Engine.create () in
   let seen = ref [] in
-  Telemetry.set_progress t (fun ~completed ~expected ->
+  Engine.set_progress engine (fun ~completed ~expected ->
       seen := (completed, expected) :: !seen);
-  Telemetry.expect t 3;
-  Telemetry.tick t;
-  Telemetry.tick t;
-  Telemetry.tick t;
+  let jobs =
+    List.filteri (fun i _ -> i < 3) some_builds
+    |> List.map (fun build -> { Engine.build; rng = Rng.create 1 })
+  in
+  ignore (Engine.try_measure_list engine ~toolchain ~program ~input jobs);
   Alcotest.(check (list (pair int int)))
     "ticks report completed/expected"
     [ (3, 3); (2, 3); (1, 3) ]
     !seen;
-  Telemetry.add_time t "phase" 1.5;
-  Telemetry.add_time t "phase" 0.5;
-  let s = Telemetry.snapshot t in
-  Alcotest.(check (list (pair string (float 1e-9))))
-    "timers accumulate"
-    [ ("phase", 2.0) ]
-    s.Telemetry.timers;
-  Telemetry.reset t;
-  let s = Telemetry.snapshot t in
-  Alcotest.(check int) "reset clears" 0 (List.length s.Telemetry.timers)
+  Alcotest.(check int) "completed count" 3 (Engine.completed engine);
+  let sink = Trace.counting () in
+  Trace.emit sink (Ft_obs.Event.Timer { name = "phase"; seconds = 1.5 });
+  Trace.emit sink (Ft_obs.Event.Timer { name = "phase"; seconds = 0.5 });
+  Alcotest.(check (list (pair string int)))
+    "timers accumulate (nanoseconds)"
+    [ ("phase", 2_000_000_000) ]
+    (Trace.counters sink).Counters.timers;
+  Alcotest.(check bool) "a fresh sink counts nothing" true
+    (Trace.counters (Trace.counting ()) = Counters.zero)
 
 let test_render_mentions_counters () =
   let engine = Engine.create () in
   ignore
     (Engine.summary engine ~toolchain ~program ~input (List.hd some_builds));
-  let rendered = Telemetry.render (Engine.telemetry engine) in
+  let rendered = Counters.render (Engine.counters engine) in
   Alcotest.(check bool) "render mentions builds" true
     (Test_helpers.contains rendered "builds");
   Alcotest.(check bool) "render mentions cache" true
@@ -392,6 +394,6 @@ let suite =
         test_preloaded_cache_changes_nothing;
       Alcotest.test_case "cache key sensitivity" `Quick test_key_sensitivity;
       Alcotest.test_case "telemetry progress and timers" `Quick
-        test_telemetry_progress_and_timers;
+        test_progress_and_timers;
       Alcotest.test_case "telemetry render" `Quick test_render_mentions_counters;
     ] )

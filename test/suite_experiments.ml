@@ -143,6 +143,20 @@ let test_fig7_row_width () =
     (fun v -> Alcotest.(check bool) "positive speedup" true (v > 0.0))
     row
 
+let test_faults_trace_matches_stats () =
+  (* The fault sweep's engines emit into the sink they are handed, so a
+     wall trace of the sweep folds back to exactly the live counters. *)
+  let trace = Ft_obs.Trace.create ~clock:Ft_obs.Trace.Wall () in
+  ignore
+    (Ft_experiments.Faults.run ~trace ~fault_seed:3 ~seed:7 ~pool_size:12
+       ~jobs:1 ());
+  let live = Ft_obs.Trace.counters trace in
+  Alcotest.(check bool) "the sweep built something" true
+    (live.Ft_obs.Counters.builds > 0);
+  Alcotest.check Test_helpers.counters "derived = live" live
+    (Ft_obs.Report.derive
+       (List.map (fun st -> st.Ft_obs.Trace.event) (Ft_obs.Trace.events trace)))
+
 let suite =
   ( "experiments",
     [
@@ -160,4 +174,6 @@ let suite =
       Alcotest.test_case "fig9 structure" `Slow test_fig9_structure;
       Alcotest.test_case "tab3 structure" `Slow test_tab3_contains_o3_row;
       Alcotest.test_case "fig7 row" `Slow test_fig7_row_width;
+      Alcotest.test_case "fault sweep trace matches its counters" `Quick
+        test_faults_trace_matches_stats;
     ] )

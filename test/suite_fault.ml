@@ -10,7 +10,6 @@ module Engine = Ft_engine.Engine
 module Cache = Ft_engine.Cache
 module Quarantine = Ft_engine.Quarantine
 module Checkpoint = Ft_engine.Checkpoint
-module Telemetry = Ft_engine.Telemetry
 module Stats = Ft_util.Stats
 module Rng = Ft_util.Rng
 module Cv = Ft_flags.Cv
@@ -143,11 +142,11 @@ let test_try_batch_partial_and_deterministic () =
     par;
   Alcotest.(check bool) "mixed outcomes: good jobs survive bad siblings" true
     (!ok > 0 && !faulted > 0);
-  let s = Telemetry.snapshot (Engine.telemetry engine4) in
+  let s = Engine.counters engine4 in
   (* Counters record every occurrence, so successfully-retried transient
      faults push the tally above the number of terminal failures. *)
   Alcotest.(check bool) "every terminal failure is counted" true
-    (Telemetry.faults s >= !faulted);
+    (Ft_obs.Counters.faults s >= !faulted);
   Alcotest.(check bool) "terminal faults are quarantined" true
     (Quarantine.length (Engine.quarantine engine4) > 0)
 
@@ -166,9 +165,9 @@ let test_quarantine_hit_replays_outcome () =
           Alcotest.(check string) "replayed failure identical"
             (Engine.outcome_to_string a) (Engine.outcome_to_string b))
     first again;
-  let s = Telemetry.snapshot (Engine.telemetry engine) in
+  let s = Engine.counters engine in
   Alcotest.(check bool) "short-circuits are counted" true
-    (s.Telemetry.quarantine_hits > 0)
+    (s.Ft_obs.Counters.quarantine_hits > 0)
 
 let hang_only ~transient_fraction =
   {
@@ -203,9 +202,9 @@ let test_timeouts_trip_and_quarantine () =
     (fun s ->
       Alcotest.(check bool) "kill time exceeds the budget" true (s > 60.0))
     timeouts;
-  let s = Telemetry.snapshot (Engine.telemetry engine) in
+  let s = Engine.counters engine in
   Alcotest.(check bool) "timeouts counted and quarantined" true
-    (s.Telemetry.timeouts > 0 && s.Telemetry.quarantined > 0)
+    (s.Ft_obs.Counters.timeouts > 0 && s.Ft_obs.Counters.quarantined > 0)
 
 let test_transient_faults_are_retried_away () =
   (* All-transient hangs clear within 1-2 retries, so with the default
@@ -225,10 +224,10 @@ let test_transient_faults_are_retried_away () =
       | Engine.Ok _ -> ()
       | o -> Alcotest.fail ("transient fault survived: " ^ Engine.outcome_to_string o))
     out;
-  let s = Telemetry.snapshot (Engine.telemetry engine) in
-  Alcotest.(check bool) "retries happened" true (s.Telemetry.retries > 0);
+  let s = Engine.counters engine in
+  Alcotest.(check bool) "retries happened" true (s.Ft_obs.Counters.retries > 0);
   Alcotest.(check bool) "backoff was simulated, not slept" true
-    (List.mem_assoc "backoff" s.Telemetry.timers);
+    (List.mem_assoc "backoff" s.Ft_obs.Counters.timers);
   Alcotest.(check int) "nothing quarantined" 0
     (Quarantine.length (Engine.quarantine engine))
 
@@ -291,9 +290,9 @@ let test_quarantine_preload_changes_nothing () =
     true
     (cold.Result.speedup = warm.Result.speedup
     && cold.Result.configuration = warm.Result.configuration);
-  let s = Telemetry.snapshot (Engine.telemetry warm_engine) in
+  let s = Engine.counters warm_engine in
   Alcotest.(check bool) "quarantine hits avoided re-trying" true
-    (s.Telemetry.quarantine_hits > 0)
+    (s.Ft_obs.Counters.quarantine_hits > 0)
 
 (* --- checkpoint/resume ------------------------------------------------ *)
 
@@ -349,9 +348,9 @@ let test_checkpoint_resume_bit_identical () =
     (first.Result.speedup = resumed.Result.speedup
     && first.Result.trace = resumed.Result.trace
     && first.Result.configuration = resumed.Result.configuration);
-  let s = Telemetry.snapshot (Engine.telemetry resumed_engine) in
+  let s = Engine.counters resumed_engine in
   Alcotest.(check bool) "resume fast-forwards through snapshotted work" true
-    (s.Telemetry.cache_hits > 0)
+    (s.Ft_obs.Counters.cache_hits > 0)
 
 (* --- the checkpoint commit protocol ----------------------------------- *)
 

@@ -1,6 +1,6 @@
 (* Tests for ft_obs: trace determinism across worker counts, exporter
-   round-trips, report rendering, and — the load-bearing one — that every
-   Telemetry counter is recomputable from a wall-clock trace. *)
+   round-trips, report rendering, and — the load-bearing one — that the
+   live counters are recomputable from a wall-clock trace. *)
 
 module Trace = Ft_obs.Trace
 module Event = Ft_obs.Event
@@ -8,7 +8,7 @@ module Export = Ft_obs.Export
 module Report = Ft_obs.Report
 module Json = Ft_obs.Json
 module Engine = Ft_engine.Engine
-module Telemetry = Ft_engine.Telemetry
+module Counters = Ft_obs.Counters
 module Tuner = Funcytuner.Tuner
 
 let swim = Option.get (Ft_suite.Suite.find "swim")
@@ -64,24 +64,8 @@ let test_trace_off_invariance () =
 
 (* --- counter derivability ---------------------------------------------- *)
 
-let check_counters ~msg (s : Telemetry.snapshot) (d : Report.counters) =
-  let ck name a b = Alcotest.(check int) (msg ^ ": " ^ name) a b in
-  ck "builds" s.Telemetry.builds d.Report.builds;
-  ck "runs" s.Telemetry.runs d.Report.runs;
-  ck "cache_hits" s.Telemetry.cache_hits d.Report.cache_hits;
-  ck "cache_misses" s.Telemetry.cache_misses d.Report.cache_misses;
-  ck "retries" s.Telemetry.retries d.Report.retries;
-  ck "build_failures" s.Telemetry.build_failures d.Report.build_failures;
-  ck "crashes" s.Telemetry.crashes d.Report.crashes;
-  ck "wrong_answers" s.Telemetry.wrong_answers d.Report.wrong_answers;
-  ck "timeouts" s.Telemetry.timeouts d.Report.timeouts;
-  ck "outliers" s.Telemetry.outliers d.Report.outliers;
-  ck "quarantined" s.Telemetry.quarantined d.Report.quarantined;
-  ck "quarantine_hits" s.Telemetry.quarantine_hits d.Report.quarantine_hits;
-  ck "worker_crashes" s.Telemetry.worker_crashes d.Report.worker_crashes;
-  let sorted l = List.sort compare l in
-  Alcotest.(check (list (pair string (float 1e-9))))
-    (msg ^ ": timers") (sorted s.Telemetry.timers) (sorted d.Report.timers)
+let check_counters ~msg live derived =
+  Alcotest.check Test_helpers.counters msg live derived
 
 let derive_of_trace trace =
   Report.derive (List.map (fun s -> s.Trace.event) (Trace.events trace))
@@ -89,8 +73,7 @@ let derive_of_trace trace =
 let test_counters_derivable_fault_free () =
   let trace = Trace.create ~clock:Trace.Wall () in
   let _, engine = run_cfr ~trace ~jobs:1 ~pool:24 () in
-  check_counters ~msg:"fault-free"
-    (Telemetry.snapshot (Engine.telemetry engine))
+  check_counters ~msg:"fault-free" (Engine.counters engine)
     (derive_of_trace trace)
 
 let test_counters_derivable_faulty () =
@@ -100,9 +83,9 @@ let test_counters_derivable_faulty () =
   let _, engine =
     run_cfr ~policy:faulty_policy ~trace ~jobs:1 ~pool:40 ()
   in
-  let s = Telemetry.snapshot (Engine.telemetry engine) in
+  let s = Engine.counters engine in
   Alcotest.(check bool) "faults actually injected" true
-    (Telemetry.faults s > 0);
+    (Counters.faults s > 0);
   check_counters ~msg:"faulty" s (derive_of_trace trace)
 
 (* --- exporters and report ---------------------------------------------- *)

@@ -528,6 +528,36 @@ let test_durable_runner_cleans_up () =
            (fun name -> Test_helpers.contains name fingerprint)
            (Array.to_list (Sys.readdir state_dir))))
 
+let test_durable_runner_shared_sink () =
+  (* The daemon's --stats: every per-request engine a durable runner
+     makes emits into the one sink its [make_engine] closes over, so the
+     sink's counters show the request's builds and runs. *)
+  let state_dir = Test_helpers.temp_dir "durable-sink" in
+  Fun.protect
+    ~finally:(fun () -> Test_helpers.remove_tree state_dir)
+    (fun () ->
+      let trace = Ft_obs.Trace.counting () in
+      let runner =
+        Runner.make_durable
+          ~make_engine:(fun ?cache ?quarantine ?checkpoint () ->
+            Ft_engine.Engine.create ~jobs:1 ?cache ?quarantine ?checkpoint
+              ~trace ())
+          ~state_dir ()
+      in
+      let spec =
+        { Protocol.benchmark = "swim"; platform = "bdw"; algorithm = "cfr";
+          seed = 5; pool = 20; top_x = None }
+      in
+      let fingerprint = Protocol.fingerprint spec in
+      (match runner.Runner.run spec ~fingerprint ~tick:ignore with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "durable run failed: %s" e);
+      let c = Ft_obs.Trace.counters trace in
+      checkb "the sink counted the request's builds" true
+        (c.Ft_obs.Counters.builds > 0);
+      checki "one run per build" c.Ft_obs.Counters.builds
+        c.Ft_obs.Counters.runs)
+
 let test_journal_crashes () =
   let path = temp_journal () in
   let s = spec "swim" in
@@ -700,6 +730,8 @@ let suite =
         test_journal_crashes;
       Alcotest.test_case "durable runner leaves no checkpoint files" `Quick
         test_durable_runner_cleans_up;
+      Alcotest.test_case "durable runner engines share the daemon's sink"
+        `Quick test_durable_runner_shared_sink;
       QCheck_alcotest.to_alcotest journal_truncation_property;
       Alcotest.test_case "supervisor backoff schedule law" `Quick
         test_supervisor_delays;
