@@ -52,7 +52,10 @@ smoke-faults: build
 #   2. funcy report is a pure function of the trace file: rendering the
 #      same trace twice produces identical bytes;
 #   3. counters are one fold over events: a faulty tune's --stats block
-#      equals the counters block funcy report derives from its wall trace.
+#      equals the counters block funcy report derives from its wall trace;
+#   4. the same on the forked pool, where worker shipments are replayed
+#      into the parent's sink: a checkpointed sharded tune's --stats block
+#      equals the counters derived from its wall trace.
 smoke-trace: build
 	$(FUNCY) tune -b swim -a cfr -k 120 --jobs 1 \
 	  --trace _build/smoke-trace-j1.jsonl --trace-clock logical > /dev/null
@@ -72,7 +75,22 @@ smoke-trace: build
 	  _build/smoke-trace-wall-report.out | tail -n +2 \
 	  > _build/smoke-trace-derived.out
 	cmp _build/smoke-trace-stats.out _build/smoke-trace-derived.out
-	@echo "smoke-trace OK: logical trace bytes jobs-independent, report reproducible, --stats = derived counters"
+	rm -f _build/smoke-trace-shard.snap _build/smoke-trace-shard.snap.quarantine \
+	  _build/smoke-trace-shard.snap.commit _build/smoke-trace-shard.snap.lock
+	$(FUNCY) tune -b swim -a cfr -k 1000 --backend sharded --nodes 2 \
+	  --checkpoint _build/smoke-trace-shard.snap --stats \
+	  --trace _build/smoke-trace-shard.jsonl > _build/smoke-trace-shard.out
+	$(FUNCY) report _build/smoke-trace-shard.jsonl \
+	  > _build/smoke-trace-shard-report.out
+	sed -n '/^engine telemetry:$$/,$$p' _build/smoke-trace-shard.out \
+	  | tail -n +2 > _build/smoke-trace-shard-stats.out
+	sed -n '/^Derived engine counters:$$/,$$p' \
+	  _build/smoke-trace-shard-report.out | tail -n +2 \
+	  > _build/smoke-trace-shard-derived.out
+	cmp _build/smoke-trace-shard-stats.out _build/smoke-trace-shard-derived.out
+	rm -f _build/smoke-trace-shard.snap _build/smoke-trace-shard.snap.quarantine \
+	  _build/smoke-trace-shard.snap.commit _build/smoke-trace-shard.snap.lock
+	@echo "smoke-trace OK: logical trace bytes jobs-independent, report reproducible, --stats = derived counters (domains and forked pool)"
 
 # Fork-substrate smoke (see DESIGN.md sections 11 and 17): both spellings
 # of the forked-worker pool, --backend processes (sized by --jobs) and
@@ -85,7 +103,10 @@ smoke-trace: build
 #      against --jobs 1 by `smoke`);
 #   4. the same under --kill-workers-after;
 #   5. a sharded run killed mid-search by --die-after resumes from its
-#      checkpoint to output byte-identical to the uninterrupted run.
+#      checkpoint to output byte-identical to the uninterrupted run;
+#   6. a K=1000 tune, whose batches are long enough for multi-job guided
+#      runs, on processes --jobs 2 with a worker killed after 40 jobs vs
+#      domains --jobs 1.
 smoke-procs: build
 	$(FUNCY) tune -b swim -a cfr -k 120 --jobs 1 \
 	  --trace _build/smoke-procs-d.jsonl --trace-clock logical \
@@ -125,6 +146,15 @@ smoke-procs: build
 	cmp _build/smoke-shard-d.out _build/smoke-shard-r.out
 	rm -f _build/smoke-shard.snap _build/smoke-shard.snap.quarantine \
 	  _build/smoke-shard.snap.commit _build/smoke-shard.snap.lock
+	$(FUNCY) tune -b swim -a cfr -k 1000 --jobs 1 \
+	  --trace _build/smoke-procs-d1000.jsonl --trace-clock logical \
+	  > _build/smoke-procs-d1000.out
+	$(FUNCY) tune -b swim -a cfr -k 1000 --backend processes --jobs 2 \
+	  --kill-workers-after 40 \
+	  --trace _build/smoke-procs-k1000.jsonl --trace-clock logical \
+	  > _build/smoke-procs-k1000.out
+	cmp _build/smoke-procs-d1000.out _build/smoke-procs-k1000.out
+	cmp _build/smoke-procs-d1000.jsonl _build/smoke-procs-k1000.jsonl
 	@echo "smoke-procs OK: processes and sharded byte-identical to domains, even under worker kills and kill-and-resume"
 
 # Checkpoint/resume equivalence oracle (see DESIGN.md section 12): for

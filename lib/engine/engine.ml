@@ -483,7 +483,7 @@ type shipment = {
   sh_outcome : job_outcome;
   sh_cache : (string * Exec.summary) list;
   sh_quar : (string * Quarantine.reason) list;
-  sh_epoch : float;
+  sh_epoch : int;
   sh_events : Trace.stamped list;
 }
 

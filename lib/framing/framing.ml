@@ -123,54 +123,79 @@ let read_value ?max_bytes fd =
       | exception _ -> Error (Garbled "unmarshalable payload"))
 
 module Decoder = struct
+  (* [data.[start, stop)] holds the bytes read but not yet extracted: at
+     most one partial frame after every {!pump}.  The buffer is owned and
+     reused, so a pump allocates only the frames it completes. *)
   type t = {
     max_bytes : int;
-    buf : Buffer.t;  (* raw accumulated bytes, frames not yet extracted *)
+    mutable data : bytes;
+    mutable start : int;
+    mutable stop : int;
   }
 
   let create ?(max_bytes = default_max_bytes) () =
-    { max_bytes; buf = Buffer.create 4096 }
+    { max_bytes; data = Bytes.create 4096; start = 0; stop = 0 }
 
-  let buffered t = Buffer.length t.buf
+  let buffered t = t.stop - t.start
 
   type pumped = {
     frames : bytes list;
     state : [ `Open | `Closed | `Error of error ];
   }
 
-  (* Extract every complete frame from the buffer, keeping the tail. *)
+  (* Extract every complete frame, leaving the partial tail in place. *)
   let extract t =
-    let data = Buffer.to_bytes t.buf in
-    let total = Bytes.length data in
-    let rec go ofs acc =
-      if total - ofs < header_bytes then Ok (ofs, List.rev acc)
+    let rec go acc =
+      let avail = t.stop - t.start in
+      if avail < header_bytes then Ok (List.rev acc)
       else
         match
           check_length ~limit:t.max_bytes
-            (Int64.to_int (Bytes.get_int64_be data ofs))
+            (Int64.to_int (Bytes.get_int64_be t.data t.start))
         with
-        | Error e -> Error (List.rev acc, e)
+        | Error e ->
+            t.start <- 0;
+            t.stop <- 0;
+            Error (List.rev acc, e)
         | Ok len ->
-            if total - ofs - header_bytes < len then Ok (ofs, List.rev acc)
-            else
-              go
-                (ofs + header_bytes + len)
-                (Bytes.sub data (ofs + header_bytes) len :: acc)
+            if avail - header_bytes < len then Ok (List.rev acc)
+            else begin
+              let frame = Bytes.sub t.data (t.start + header_bytes) len in
+              t.start <- t.start + header_bytes + len;
+              go (frame :: acc)
+            end
     in
-    match go 0 [] with
-    | Ok (consumed, frames) ->
-        Buffer.clear t.buf;
-        Buffer.add_subbytes t.buf data consumed (total - consumed);
-        Ok frames
-    | Error _ as e ->
-        Buffer.clear t.buf;
-        e
+    go []
 
-  let chunk_bytes = 65536
+  (* A read that fills the whole buffer means a busy stream: the buffer
+     doubles, up to this size, so one read can drain a burst. *)
+  let burst_bytes = 65536
+
+  (* Room for the next read: the partial tail slides to the front, and
+     when the last read filled the buffer it doubles — for a busy stream,
+     or for one partial frame that fills all of it.  That frame's length
+     already passed [check_length], so the buffer never outgrows
+     [header_bytes + max_bytes]. *)
+  let make_room t =
+    let cap = Bytes.length t.data in
+    let held = t.stop - t.start in
+    let cap' =
+      if t.stop < cap then cap
+      else if held = cap then min (2 * cap) (header_bytes + t.max_bytes)
+      else if cap < burst_bytes then 2 * cap
+      else cap
+    in
+    if t.start > 0 || cap' > cap then begin
+      let data = if cap' > cap then Bytes.create cap' else t.data in
+      Bytes.blit t.data t.start data 0 held;
+      t.data <- data;
+      t.start <- 0;
+      t.stop <- held
+    end
 
   let pump t fd =
-    let scratch = Bytes.create chunk_bytes in
-    match Unix.read fd scratch 0 chunk_bytes with
+    make_room t;
+    match Unix.read fd t.data t.stop (Bytes.length t.data - t.stop) with
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
       ->
         { frames = []; state = `Open }
@@ -194,7 +219,7 @@ module Decoder = struct
               `Error (Torn { context = "frame"; got = held; expected = -1 });
           }
     | n -> (
-        Buffer.add_subbytes t.buf scratch 0 n;
+        t.stop <- t.stop + n;
         match extract t with
         | Ok frames -> { frames; state = `Open }
         | Error (frames, e) -> { frames; state = `Error e })

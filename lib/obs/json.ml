@@ -11,29 +11,40 @@ type t =
 
 (* Shortest decimal form that round-trips: most values need 15 significant
    digits, the rest 17.  Deterministic, so equal traces print to equal
-   bytes. *)
+   bytes.  [format_float] is the C primitive behind [Printf]'s [%g]/[%f]:
+   the same bytes without interpreting a format at every call. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let float_repr f =
   if not (Float.is_finite f) then
     invalid_arg "Json.to_string: non-finite float";
-  if Float.is_integer f && Float.abs f < 1e16 then Printf.sprintf "%.1f" f
+  if Float.is_integer f && Float.abs f < 1e16 then format_float "%.1f" f
   else
-    let s = Printf.sprintf "%.15g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+    let s = format_float "%.15g" f in
+    if float_of_string s = f then s else format_float "%.17g" f
 
+(* Runs of bytes that need no escape are copied in one blit each. *)
 let add_escaped buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  let n = String.length s in
+  let rec go start i =
+    if i = n then Buffer.add_substring buf s start (i - start)
+    else
+      let c = String.unsafe_get s i in
+      if c >= ' ' && c <> '"' && c <> '\\' then go start (i + 1)
+      else begin
+        Buffer.add_substring buf s start (i - start);
+        (match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+        go (i + 1) (i + 1)
+      end
+  in
+  go 0 0;
   Buffer.add_char buf '"'
 
 let rec add buf = function

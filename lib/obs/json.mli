@@ -25,6 +25,11 @@ val to_string : t -> string
     @raise Invalid_argument on a non-finite float: JSON has no lexeme for
     them and the trace schema never produces one. *)
 
+val add : Buffer.t -> t -> unit
+(** Append {!to_string}'s rendering to a buffer: the exporters' streaming
+    form.
+    @raise Invalid_argument as {!to_string}. *)
+
 val of_string : string -> (t, string) result
 (** Parse one JSON value (surrounding whitespace allowed); [Error]
     carries a position-annotated reason.  Accepts exactly what

@@ -11,7 +11,7 @@ type stamped = {
   serial : int;
   job : int;
   seq : int;
-  ts : float;
+  ts : int;
   event : Event.t;
 }
 
@@ -23,17 +23,21 @@ type t = {
   clock : clock;
   keep : bool;  (* false: a counting-only sink *)
   counters : Counters.t Atomic.t;
-  t0 : float;
+  t0 : int;  (* wall microseconds at creation: the [Wall] epoch *)
   next_serial : int Atomic.t;
   shards : shard array;
 }
+
+(* Whole microseconds on the wall clock: [gettimeofday]'s resolution, so
+   the integer loses nothing and exports without float printing. *)
+let wall_us () = int_of_float (Ft_util.Clock.wall () *. 1e6)
 
 let make ~clock ~keep =
   {
     clock;
     keep;
     counters = Atomic.make Counters.zero;
-    t0 = Unix.gettimeofday ();
+    t0 = wall_us ();
     next_serial = Atomic.make 0;
     shards =
       (if keep then
@@ -53,10 +57,10 @@ let counters t = Atomic.get t.counters
 let job_scope : (int * int * int ref) option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
+let own_shard t = t.shards.((Domain.self () :> int) land (shard_count - 1))
+
 let record_stamped t st =
-  let shard =
-    t.shards.((Domain.self () :> int) land (shard_count - 1))
-  in
+  let shard = own_shard t in
   Mutex.protect shard.lock (fun () -> shard.events <- st :: shard.events)
 
 (* In-job events are batched in a domain-local buffer and drained into
@@ -83,9 +87,7 @@ let drain_buf b =
   | evs ->
       b.buffered <- [];
       b.count <- 0;
-      let shard =
-        b.tr.shards.((Domain.self () :> int) land (shard_count - 1))
-      in
+      let shard = own_shard b.tr in
       Mutex.protect shard.lock (fun () -> shard.events <- evs @ shard.events)
 
 let drain_pending () =
@@ -112,7 +114,7 @@ let flush_local t =
   | Some b when b.tr == t -> drain_buf b
   | _ -> ()
 
-let now t = match t.clock with Wall -> Unix.gettimeofday () -. t.t0 | Logical -> 0.0
+let now t = match t.clock with Wall -> wall_us () - t.t0 | Logical -> 0
 
 let record t event =
   match Domain.DLS.get job_scope with
@@ -141,33 +143,46 @@ let project clock event =
       None
   | Logical, e -> Some e
 
-let rec count t event =
+(* Publish [fold] of the current counters with one CAS, retried only
+   when another domain published in between. *)
+let rec count t fold =
   let c = Atomic.get t.counters in
-  let c' = Counters.step c event in
-  if c' != c && not (Atomic.compare_and_set t.counters c c') then count t event
+  let c' = fold c in
+  if c' != c && not (Atomic.compare_and_set t.counters c c') then count t fold
 
 (* Every event enters a sink here: folded into the counters at its full
    (wall-level) detail, then buffered as the clock's projection of it. *)
-let admit t event keep_projection =
-  count t event;
-  if t.keep then Option.iter keep_projection (project t.clock event)
-
-let emit t event = admit t event (record t)
+let emit t event =
+  count t (fun c -> Counters.step c event);
+  if t.keep then Option.iter (record t) (project t.clock event)
 
 let epoch t = t.t0
 
 (* A worker's shadow stamps already carry the canonical (serial, job,
    seq) key — the parent allocated the batch serial before forking — so
    replay is order-free; only wall timestamps need rebasing from the
-   shadow's epoch onto ours (logical stamps are 0). *)
+   shadow's epoch onto ours (logical stamps are 0).  A whole shipment is
+   one step for the sink: its events fold into one counters value,
+   published with one CAS, and its projections land under one lock. *)
 let replay t ~epoch:e0 stamps =
-  let dt = e0 -. t.t0 in
-  List.iter
-    (fun st ->
-      admit t st.event (fun event ->
-          let ts = match t.clock with Wall -> st.ts +. dt | Logical -> 0.0 in
-          record_stamped t { st with ts; event }))
-    stamps
+  count t (fun c ->
+      List.fold_left (fun c st -> Counters.step c st.event) c stamps);
+  if t.keep then begin
+    let dt = e0 - t.t0 in
+    let projected =
+      List.fold_left
+        (fun acc st ->
+          match project t.clock st.event with
+          | None -> acc
+          | Some event ->
+              let ts = match t.clock with Wall -> st.ts + dt | Logical -> 0 in
+              { st with ts; event } :: acc)
+        [] stamps
+    in
+    let shard = own_shard t in
+    Mutex.protect shard.lock (fun () ->
+        shard.events <- List.rev_append projected shard.events)
+  end
 
 let events t =
   flush_local t;
@@ -231,11 +246,14 @@ let span t phase f =
   emit t (Event.Phase_begin { phase });
   Fun.protect ~finally:(fun () -> emit t (Event.Phase_end { phase })) f
 
+(* Durations are kept to whole nanoseconds, the grain the counters sum
+   them in, so the exported seconds print in 15 digits or fewer. *)
 let time t name f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Ft_util.Clock.now () in
   Fun.protect
     ~finally:(fun () ->
-      emit t (Event.Timer { name; seconds = Unix.gettimeofday () -. t0 }))
+      let ns = Float.round ((Ft_util.Clock.now () -. t0) *. 1e9) in
+      emit t (Event.Timer { name; seconds = ns /. 1e9 }))
     f
 
 (* -- resume-invariant normalization ------------------------------------ *)

@@ -37,11 +37,12 @@
 
     {2 Clock modes}
 
-    [Wall] stamps events with monotonic seconds since trace creation and
-    buffers every event as emitted, including the schedule-dependent ones
-    (hit/miss split, builds/runs performed, timer accumulations,
-    checkpoint saves/loads, quarantine insertions, worker crashes), so an
-    exported wall trace folds back to exactly the live counters.
+    [Wall] stamps events with whole microseconds since the sink's epoch
+    (its creation, on the wall clock) and buffers every event as
+    emitted, including the schedule-dependent ones (hit/miss split,
+    builds/runs performed, timer accumulations, checkpoint saves/loads,
+    quarantine insertions, worker crashes), so an exported wall trace
+    folds back to exactly the live counters.
     [Logical] projects those away — a hit or miss is buffered as
     {!Event.Cache_query}, the rest are dropped — and stamps nothing but
     the canonical order itself, making the exported bytes reproducible. *)
@@ -75,26 +76,30 @@ type stamped = {
   serial : int;  (** main-thread sequence number, or the batch's *)
   job : int;  (** submission index within the batch; [-1] on the main thread *)
   seq : int;  (** per-job event sequence number *)
-  ts : float;  (** seconds since trace creation ([Wall]); [0.] in [Logical] *)
+  ts : int;
+      (** microseconds since the sink's epoch ([Wall]); [0] in [Logical] *)
   event : Event.t;
 }
 
 val events : t -> stamped list
 (** All recorded events in canonical [(serial, job, seq)] order. *)
 
-val epoch : t -> float
-(** The trace's creation time (absolute [Unix.gettimeofday]), i.e. what
-    [Wall] timestamps are relative to.  A worker process ships this with
-    its events so {!replay} can rebase them onto the parent's epoch. *)
+val epoch : t -> int
+(** The trace's creation time in absolute wall-clock microseconds, i.e.
+    what [Wall] timestamps are relative to.  A worker process ships this
+    with its events so {!replay} can rebase them onto the parent's
+    epoch. *)
 
-val replay : t -> epoch:float -> stamped list -> unit
+val replay : t -> epoch:int -> stamped list -> unit
 (** Emit the stamps a forked worker's shadow sink recorded (a [Wall]
     trace, so unprojected) through this sink's emit point: each event is
     folded into the counters and its projection buffered under its
     original canonical key — the parent allocated the batch serial
     before forking, so the keys already sort correctly.  [Wall]
     timestamps are rebased from the shadow's [epoch] onto this trace's;
-    [Logical] ones are 0. *)
+    [Logical] ones are 0.  The whole list is one step for the sink: its
+    events are folded into one counters value published at once, and
+    their projections are buffered under one lock acquisition. *)
 
 val length : t -> int
 
@@ -114,10 +119,11 @@ val span : t -> Event.phase -> (unit -> 'a) -> 'a
     if [f] raises). *)
 
 val time : t -> string -> (unit -> 'a) -> 'a
-(** [time t name f] runs [f] and emits its wall duration as an
-    {!Event.Timer} [name] (even if [f] raises): the [--stats] phase
-    timers.  Timed phases inside parallel workers accumulate CPU-side:
-    their sum may exceed elapsed wall time. *)
+(** [time t name f] runs [f] and emits its duration, measured on the
+    monotonic {!Ft_util.Clock.now}, as an {!Event.Timer} [name] (even if
+    [f] raises): the [--stats] phase timers.  Timed phases inside
+    parallel workers accumulate CPU-side: their sum may exceed elapsed
+    wall time. *)
 
 (** {2 Resume-invariant normalization}
 

@@ -86,9 +86,9 @@ let map_in_order { name; map } () =
   (* Uneven per-item work, so a dynamic schedule reorders completions:
      results must still land by submission index, at any worker count.
      Two skews: heavy items scattered ([i mod 9]) and heavy items packed
-     into one contiguous block ([i < 25]), the worst case for any
-     schedule that hands out contiguous runs. *)
-  let items = Array.init 100 (fun i -> i) in
+     into one contiguous block (the first quarter), the worst case for
+     any schedule that hands out contiguous runs — at n = 1000, where
+     the guided runs are longer than one job. *)
   let work heavy i =
     let spins = if heavy i then 20000 else 100 in
     let acc = ref i in
@@ -98,11 +98,11 @@ let map_in_order { name; map } () =
     (i, i * i)
   in
   List.iter
-    (fun heavy ->
+    (fun (n, heavy) ->
       List.iter
         (fun workers ->
-          let results = map ~workers (work heavy) items in
-          Alcotest.(check int) (name ^ ": all slots filled") 100
+          let results = map ~workers (work heavy) (Array.init n Fun.id) in
+          Alcotest.(check int) (name ^ ": all slots filled") n
             (Array.length results);
           Array.iteri
             (fun idx r ->
@@ -111,7 +111,7 @@ let map_in_order { name; map } () =
               Alcotest.(check int) (name ^ ": value correct") (idx * idx) sq)
             results)
         [ 1; 3; 4 ])
-    [ (fun i -> i mod 9 = 0); (fun i -> i < 25) ]
+    [ (100, fun i -> i mod 9 = 0); (1000, fun i -> i < 250) ]
 
 let raised_is_isolated { name; map } () =
   (* A raising closure poisons only its own slot; the worker survives to
@@ -147,35 +147,72 @@ let on_result_once_per_index { name; map } () =
   Alcotest.(check bool) (name ^ ": all reported ok") true
     (List.for_all snd !seen)
 
+(* A worker's death mid-run costs exactly the job it was running: every
+   other slot is [Ok] and correct (the unstarted rest of the run went
+   back to the queue), and [on_result] fires once per index. *)
+let check_one_casualty ~tag ~expected ~detail ~casualty results seen =
+  let n = Array.length results in
+  Array.iteri
+    (fun i -> function
+      | Stdlib.Ok v -> Alcotest.(check int) (tag ^ ": survivor correct") (expected i) v
+      | Stdlib.Error (Procpool.Crashed c) ->
+          Alcotest.(check bool)
+            (tag ^ ": crash detail names the cause: " ^ c.Procpool.detail)
+            true
+            (Test_helpers.contains c.Procpool.detail detail);
+          Option.iter
+            (fun j -> Alcotest.(check int) (tag ^ ": the casualty's slot") j i)
+            casualty
+      | Stdlib.Error (Procpool.Raised msg) ->
+          Alcotest.fail (tag ^ ": death surfaced as Raised: " ^ msg))
+    results;
+  Alcotest.(check int) (tag ^ ": exactly one job lost") 1
+    (Array.fold_left
+       (fun k r -> if Stdlib.Result.is_error r then k + 1 else k)
+       0 results);
+  Alcotest.(check (list int))
+    (tag ^ ": on_result fired exactly once per index")
+    (List.init n Fun.id)
+    (List.sort compare !seen)
+
 let kill_surfaces_as_crash { name; map } cases () =
   (* The chaos hook: the first worker SIGKILLs itself after completing
      [k] jobs.  Its in-flight job must surface as Crashed (with the
      signal named), every other job must still complete on the respawned
      or surviving workers.  [k = 0] kills the designee on its very first
      feed, before it has completed anything: still exactly one casualty,
-     and every job it never received runs elsewhere. *)
+     and every job it never received runs elsewhere.  At n = 200 the
+     sibling is deep in a guided run when the kill lands. *)
   List.iter
     (fun (workers, k, n, f) ->
       let tag = Printf.sprintf "%s workers=%d k=%d" name workers k in
-      let results = map ~workers ~kill_after:k f (Array.init n (fun i -> i)) in
-      let crashed = ref 0 in
-      Array.iteri
-        (fun i -> function
-          | Stdlib.Ok v ->
-              Alcotest.(check int) (tag ^ ": survivor correct") (f i) v
-          | Stdlib.Error (Procpool.Crashed { detail; _ }) ->
-              incr crashed;
-              Alcotest.(check bool) (tag ^ ": signal named in detail") true
-                (Test_helpers.contains detail "SIGKILL")
-          | Stdlib.Error (Procpool.Raised msg) ->
-              Alcotest.fail (tag ^ ": kill surfaced as Raised: " ^ msg))
-        results;
-      Alcotest.(check int) (tag ^ ": exactly the in-flight job is lost") 1
-        !crashed)
+      let seen = ref [] in
+      let results =
+        map ~workers ~kill_after:k
+          ~on_result:(fun i _ -> seen := i :: !seen)
+          f (Array.init n Fun.id)
+      in
+      check_one_casualty ~tag ~expected:f ~detail:"SIGKILL" ~casualty:None
+        results seen)
     cases
 
 let kill_after_two = (2, 2, 30, fun i -> i * 3)
 let kill_on_first_feed = (3, 0, 60, fun i -> i + 100)
+let kill_mid_run = (2, 5, 200, fun i -> (i * 7) + 1)
+
+let exit_mid_run_loses_its_slot () =
+  (* A closure that exits its worker on one index, in the middle of a
+     run: exactly that slot is [Crashed]; the rest of the run is re-fed
+     to the respawned pool. *)
+  let seen = ref [] in
+  let f i = if i = 77 then Unix._exit 3 else i * 2 in
+  let results =
+    Procpool.map ~workers:2
+      ~on_result:(fun i _ -> seen := i :: !seen)
+      f (Array.init 200 Fun.id)
+  in
+  check_one_casualty ~tag:"_exit 3 at 77" ~expected:f ~detail:"exited 3"
+    ~casualty:(Some 77) results seen
 
 let rejects_bad_workers { name; map } () =
   match map ~workers:0 (fun i -> i) [| 1 |] with
@@ -215,8 +252,36 @@ let run_algo ?kill_workers_after ?checkpoint ~backend ~jobs algo =
           (Lazy.force session.Tuner.collection)
   in
   Engine.flush_checkpoint engine;
-  let bytes = String.concat "\n" (Export.jsonl_lines trace) ^ "\n" in
+  let bytes = Export.jsonl_string trace in
   (result, bytes, engine)
+
+(* --- the streamed exporter on the forked pool ----------------------------- *)
+
+let traced_cfr ?kill_workers_after ~clock ~jobs () =
+  let trace = Trace.create ~clock () in
+  let engine =
+    Engine.create ~jobs ~backend:Backend.Processes ?kill_workers_after ~trace ()
+  in
+  ignore
+    (Tuner.run_cfr
+       (Tuner.make_session ~pool_size:24 ~engine ~platform ~program:swim
+          ~input ~seed:42 ()));
+  (trace, engine)
+
+let test_export_oracle_processes () =
+  (* Logical: the streamed bytes equal the line-at-a-time rendering.
+     Wall: replayed worker shipments, rebased onto the parent's epoch,
+     load back whole, in order, with per-job non-decreasing stamps and
+     counters equal to the live ones — under worker kills too. *)
+  let logical, _ = traced_cfr ~clock:Trace.Logical ~jobs:4 () in
+  Alcotest.(check string) "processes jobs 4: streamed bytes equal the reference"
+    (Test_helpers.logical_jsonl_reference logical)
+    (Export.jsonl_string logical);
+  let wall, engine =
+    traced_cfr ~kill_workers_after:3 ~clock:Trace.Wall ~jobs:2 ()
+  in
+  Test_helpers.check_wall_export ~msg:"processes jobs 2, kills"
+    ~live:(Engine.counters engine) wall
 
 (* --- warm resume: no news, no saves ------------------------------------ *)
 
@@ -939,9 +1004,14 @@ let suite =
       Alcotest.test_case "procpool on_result once per index" `Quick
         (on_result_once_per_index procpool);
       Alcotest.test_case "procpool kill surfaces as crash" `Quick
-        (kill_surfaces_as_crash procpool [ kill_after_two; kill_on_first_feed ]);
+        (kill_surfaces_as_crash procpool
+           [ kill_after_two; kill_on_first_feed; kill_mid_run ]);
       Alcotest.test_case "procpool rejects workers=0" `Quick
         (rejects_bad_workers procpool);
+      Alcotest.test_case "procpool exit mid-run loses its slot" `Quick
+        exit_mid_run_loses_its_slot;
+      Alcotest.test_case "export oracle on the processes pool" `Quick
+        test_export_oracle_processes;
       (* The shim's cases keep the names they had when Shard ran its own
          scheduler (work stealing, an orphan pool), so results stay
          comparable across versions; the bodies are the procpool ones. *)

@@ -37,7 +37,7 @@ let faulty_policy =
 let jsonl ?policy ~clock ~jobs ~pool () =
   let trace = Trace.create ~clock () in
   let result, _ = run_cfr ?policy ~trace ~jobs ~pool () in
-  (result, String.concat "\n" (Export.jsonl_lines trace) ^ "\n", trace)
+  (result, Export.jsonl_string trace, trace)
 
 (* --- determinism across worker counts --------------------------------- *)
 
@@ -145,6 +145,81 @@ let test_chrome_export_parses () =
             (Trace.length trace) (List.length events)
       | _ -> Alcotest.fail "missing traceEvents array")
 
+(* --- the streamed exporter ------------------------------------------------ *)
+
+let test_logical_export_oracle () =
+  (* The streamed JSONL bytes equal the line-at-a-time rendering, on a
+     fault-free run at jobs 1 and 4 and on a faulty one. *)
+  List.iter
+    (fun (tag, policy, jobs) ->
+      let _, bytes, trace = jsonl ?policy ~clock:Trace.Logical ~jobs ~pool:24 () in
+      Alcotest.(check string)
+        (tag ^ ": streamed bytes equal the reference rendering")
+        (Test_helpers.logical_jsonl_reference trace)
+        bytes)
+    [
+      ("jobs 1", None, 1);
+      ("jobs 4", None, 4);
+      ("faulty jobs 1", Some faulty_policy, 1);
+    ]
+
+let test_wall_export_oracle () =
+  List.iter
+    (fun (tag, policy, jobs) ->
+      let trace = Trace.create ~clock:Trace.Wall () in
+      let _, engine = run_cfr ?policy ~trace ~jobs ~pool:24 () in
+      Test_helpers.check_wall_export ~msg:tag ~live:(Engine.counters engine)
+        trace)
+    [ ("jobs 4", None, 4); ("faulty jobs 1", Some faulty_policy, 1) ]
+
+let test_wall_ts_format () =
+  List.iter
+    (fun (us, expected) ->
+      let buf = Buffer.create 16 in
+      Export.add_wall_ts buf us;
+      let printed = Buffer.contents buf in
+      Alcotest.(check string) (Printf.sprintf "%d us" us) expected printed;
+      Alcotest.(check (option (float 0.0)))
+        (Printf.sprintf "%d us reads back as seconds" us)
+        (Some (float_of_int us /. 1e6))
+        (match Json.of_string printed with
+        | Ok json -> Json.to_float json
+        | Error _ -> None))
+    [
+      (0, "0.000000");
+      (7, "0.000007");
+      (999_999, "0.999999");
+      (1_000_000, "1.000000");
+      (42_000_000, "42.000000");
+      (1_234_567_890, "1234.567890");
+      (86_400_000_001, "86400.000001");
+    ]
+
+let test_timer_is_monotonic_duration () =
+  (* [Trace.time] measures on the monotonic clock: the recorded duration
+     of a busy loop lies inside a [Clock.now] bracket of the same call
+     (up to the whole-nanosecond rounding of the timer). *)
+  let trace = Trace.create ~clock:Trace.Wall () in
+  let spin () =
+    let acc = ref 1 in
+    for i = 1 to 2_000_000 do
+      acc := (!acc * 31) + i
+    done;
+    Sys.opaque_identity !acc
+  in
+  let before = Ft_util.Clock.now () in
+  ignore (Trace.time trace "busy" spin);
+  let bracket = Ft_util.Clock.now () -. before in
+  match List.map (fun st -> st.Trace.event) (Trace.events trace) with
+  | [ Event.Timer { name = "busy"; seconds } ] ->
+      Alcotest.(check bool) "duration is positive" true (seconds > 0.0);
+      Alcotest.(check bool)
+        (Printf.sprintf "duration %.9f s within the bracket %.9f s" seconds
+           bracket)
+        true
+        (seconds <= bracket +. 1e-9)
+  | _ -> Alcotest.fail "expected exactly one busy timer event"
+
 let test_report_sections () =
   let _, bytes, _ =
     jsonl ~policy:faulty_policy ~clock:Trace.Wall ~jobs:1 ~pool:24 ()
@@ -191,4 +266,12 @@ let suite =
         test_chrome_export_parses;
       Alcotest.test_case "report renders every section" `Quick
         test_report_sections;
+      Alcotest.test_case "logical export equals reference rendering" `Quick
+        test_logical_export_oracle;
+      Alcotest.test_case "wall export loads back whole" `Quick
+        test_wall_export_oracle;
+      Alcotest.test_case "wall ts format edge cases" `Quick
+        test_wall_ts_format;
+      Alcotest.test_case "timer measures on the monotonic clock" `Quick
+        test_timer_is_monotonic_duration;
     ] )
