@@ -2,7 +2,8 @@ DUNE ?= dune
 FUNCY = $(DUNE) exec --no-build bin/funcy.exe --
 
 .PHONY: all build test smoke smoke-faults smoke-trace smoke-procs \
-        smoke-selfcheck smoke-adaptive smoke-serve smoke-recover golden \
+        smoke-selfcheck smoke-adaptive smoke-serve smoke-recover \
+        smoke-fig5c golden \
         bench-gate perfbench-selftest coverage check clean
 
 # Committed perf baseline the gate compares against (see bench-gate).
@@ -251,6 +252,20 @@ smoke-recover: build
 	  ! kill -0 `cat _build/smoke-recover/pid` 2>/dev/null
 	@echo "smoke-recover OK: supervised restarts survived, loadgen consistent, drained cleanly"
 
+# Full-size figure pin (see DESIGN.md section 8): `experiment fig5c` at the
+# paper's K = 1000 (about 28k evaluations) must print the bytes whose MD5
+# is committed in test/golden/fig5c-k1000.md5, at --jobs 1 and --jobs 2.
+# The golden CSVs run at k = 12; this pins the seed streams of every link,
+# quirk and noise draw of the full-size lab.
+smoke-fig5c: build
+	$(FUNCY) experiment fig5c --jobs 1 | md5sum | cut -d' ' -f1 \
+	  > _build/smoke-fig5c-j1.md5
+	$(FUNCY) experiment fig5c --jobs 2 | md5sum | cut -d' ' -f1 \
+	  > _build/smoke-fig5c-j2.md5
+	cmp test/golden/fig5c-k1000.md5 _build/smoke-fig5c-j1.md5
+	cmp test/golden/fig5c-k1000.md5 _build/smoke-fig5c-j2.md5
+	@echo "smoke-fig5c OK: full-size fig5c matches its pinned MD5 at --jobs 1 and 2"
+
 # Perf regression gate (see DESIGN.md section 16): run the JSON bench
 # suite and compare its headline metrics against the committed seed
 # snapshot.  Solo-tune evals/sec must reach 1.3x the seed's; the cache
@@ -291,7 +306,7 @@ golden: build
 
 check: build test smoke smoke-faults smoke-trace smoke-procs \
        smoke-selfcheck smoke-adaptive smoke-serve smoke-recover \
-       perfbench-selftest
+       smoke-fig5c perfbench-selftest
 
 clean:
 	$(DUNE) clean

@@ -28,16 +28,15 @@ let assignment_fingerprint units =
 
 (* Link-time perturbation of one region's decision.  Drawn from a stream
    seeded by (program, region, whole-assignment fingerprint): deterministic
-   per assembled binary, different across assignments. *)
-let perturb ~(target : Target.t) ~program_name ~fingerprint (u : Cunit.t) =
+   per assembled binary, different across assignments.  The seed is the
+   hash of ["lto:<program>:<region>:<fingerprint>"], streamed: [lto] is the
+   FNV state of ["lto:<program>:"] and [fp] the fingerprint's decimal
+   digits, both computed once per link. *)
+let perturb ~(target : Target.t) ~lto ~fp (u : Cunit.t) =
   let d = u.Cunit.decision in
   let f = u.Cunit.loop.Loop.features in
-  let rng =
-    Rng.create
-      (Rng.hash_string
-         (Printf.sprintf "lto:%s:%s:%d" program_name u.Cunit.region_name
-            fingerprint))
-  in
+  let seed = Rng.(fnv_feed (fnv_feed lto u.Cunit.region_name) ":") in
+  let rng = Rng.(create (fnv_finish (fnv_feed seed fp))) in
   let x = Rng.float rng 1.0 in
   if x < 0.30 then d
   else if x < 0.48 then
@@ -76,28 +75,54 @@ let perturb ~(target : Target.t) ~program_name ~fingerprint (u : Cunit.t) =
     (* Cross-module register allocation degrades the schedule. *)
     { d with Decision.sched_quality = d.Decision.sched_quality *. 0.85 }
 
+let mismatch () =
+  invalid_arg "Linker.link: units do not match the program's regions"
+
 let link ~target ~(program : Program.t) ?(instrumented = false) units =
-  let expected =
-    program.Program.nonloop.Loop.name
-    :: List.map (fun (l : Loop.t) -> l.Loop.name) program.Program.loops
-  in
-  let got = List.map (fun (u : Cunit.t) -> u.Cunit.region_name) units in
-  if List.sort compare expected <> List.sort compare got then
-    invalid_arg "Linker.link: units do not match the program's regions";
+  (* [Program.make] guarantees distinct region names, so equal lengths plus
+     finding every region below is multiset equality.  Regions are looked
+     up in program order, which is the order [Cunit.compile_program] emits
+     units in: the next unit is tried first, a permuted list falls back to
+     a search. *)
+  if List.length units <> 1 + List.length program.Program.loops then
+    mismatch ();
+  let next = ref units in
   let find name =
-    List.find (fun (u : Cunit.t) -> u.Cunit.region_name = name) units
+    match !next with
+    | (u : Cunit.t) :: rest when String.equal u.Cunit.region_name name ->
+        next := rest;
+        u
+    | _ -> (
+        match
+          List.find_opt
+            (fun (u : Cunit.t) -> String.equal u.Cunit.region_name name)
+            units
+        with
+        | Some u -> u
+        | None -> mismatch ())
   in
-  let distinct_cvs =
-    List.sort_uniq Cv.compare (List.map (fun (u : Cunit.t) -> u.Cunit.cv) units)
+  let uniform =
+    match units with
+    | [] -> true
+    | (u0 : Cunit.t) :: rest ->
+        let cv0 = u0.Cunit.cv in
+        List.for_all
+          (fun (u : Cunit.t) -> u.Cunit.cv == cv0 || Cv.equal u.Cunit.cv cv0)
+          rest
   in
-  let uniform = List.length distinct_cvs <= 1 in
-  let any_ipo = List.exists (fun (u : Cunit.t) -> Cv.ipo u.Cunit.cv) units in
-  let fingerprint = assignment_fingerprint units in
+  let perturbed =
+    (not uniform) && List.exists (fun (u : Cunit.t) -> Cv.ipo u.Cunit.cv) units
+  in
+  (* Only perturbed links draw from the fingerprint-seeded streams, so
+     only they pay for the fingerprint. *)
+  let fp =
+    if perturbed then string_of_int (assignment_fingerprint units) else ""
+  in
+  let name = program.Program.name in
+  let lto = Rng.(fnv_feed (fnv_feed (fnv_feed fnv_offset "lto:") name) ":") in
   let finalize (u : Cunit.t) =
     let final =
-      if uniform || not any_ipo then u.Cunit.decision
-      else
-        perturb ~target ~program_name:program.Program.name ~fingerprint u
+      if perturbed then perturb ~target ~lto ~fp u else u.Cunit.decision
     in
     { cunit = u; final }
   in
@@ -114,13 +139,10 @@ let link ~target ~(program : Program.t) ?(instrumented = false) units =
       nonloop.final.Decision.code_bytes loop_regions
   in
   let link_luck =
-    if uniform || not any_ipo then 1.0
+    if not perturbed then 1.0
     else
-      let rng =
-        Rng.create
-          (Rng.hash_string
-             (Printf.sprintf "luck:%s:%d" program.Program.name fingerprint))
-      in
+      let luck = Rng.(fnv_feed (fnv_feed fnv_offset "luck:") name) in
+      let rng = Rng.(create (fnv_finish (fnv_feed (fnv_feed luck ":") fp))) in
       1.0 +. Float.abs (Rng.gauss rng ~mu:0.0 ~sigma:0.07)
   in
   {

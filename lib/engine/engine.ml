@@ -209,38 +209,55 @@ let instrumented = function
    CV everywhere are different binaries: only the latter is outlined),
    the CV assignment itself and the instrumentation flag.  Assignments are
    sorted by module name so equal assignments written in different orders
-   share a key. *)
-let canonical_key ~(toolchain : Toolchain.t) ~(program : Ft_prog.Program.t)
-    ~(input : Input.t) build =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf toolchain.Toolchain.cprofile.Ft_compiler.Cprofile.name;
-  Buffer.add_char buf ';';
-  Buffer.add_string buf
-    (Platform.short_name toolchain.Toolchain.arch.Ft_machine.Arch.platform);
-  Buffer.add_char buf ';';
-  Buffer.add_string buf program.Ft_prog.Program.name;
-  Printf.bprintf buf ";size=%h;steps=%d;" input.Input.size input.Input.steps;
-  (* Hand-rolled appends below: this runs once per evaluation (and the
-     bytes are pinned — they are what existing caches digested). *)
-  (match build with
+   share a key.
+
+   The bytes are pinned: they are what existing caches digested.  The
+   execution context comes first as [key_prefix], constant over a batch, so
+   the batch entry points build it once and pass it down; the build part is
+   appended into a buffer sized to the exact key length. *)
+let key_prefix ~(toolchain : Toolchain.t) ~(program : Ft_prog.Program.t)
+    ~(input : Input.t) =
+  Printf.sprintf "%s;%s;%s;size=%h;steps=%d;"
+    toolchain.Toolchain.cprofile.Ft_compiler.Cprofile.name
+    (Platform.short_name toolchain.Toolchain.arch.Ft_machine.Arch.platform)
+    program.Ft_prog.Program.name input.Input.size input.Input.steps
+
+let canonical_key ~prefix build =
+  match build with
   | Uniform { cv; instrumented } ->
-      Buffer.add_string buf
-        (if instrumented then "uniform;instr=true;" else "uniform;instr=false;");
-      Cv.add_compact buf cv
+      String.concat ""
+        [
+          prefix;
+          (if instrumented then "uniform;instr=true;"
+           else "uniform;instr=false;");
+          Cv.to_compact cv;
+        ]
   | Assigned { assignment; instrumented } ->
-      Buffer.add_string buf
-        (if instrumented then "assigned;instr=true" else "assigned;instr=false");
+      let tag =
+        if instrumented then "assigned;instr=true" else "assigned;instr=false"
+      in
+      let len =
+        List.fold_left
+          (fun acc (m, _) -> acc + String.length m + 2 + Cv.compact_length)
+          (String.length prefix + String.length tag)
+          assignment
+      in
+      let buf = Buffer.create len in
+      Buffer.add_string buf prefix;
+      Buffer.add_string buf tag;
       List.iter
         (fun (m, cv) ->
           Buffer.add_char buf ';';
           Buffer.add_string buf m;
           Buffer.add_char buf '=';
           Cv.add_compact buf cv)
-        (List.sort (fun (a, _) (b, _) -> String.compare a b) assignment));
-  Buffer.contents buf
+        (List.sort (fun (a, _) (b, _) -> String.compare a b) assignment);
+      Buffer.contents buf
+
+let key_of ~prefix build = Cache.digest (canonical_key ~prefix build)
 
 let key ~toolchain ~program ~input build =
-  Cache.digest (canonical_key ~toolchain ~program ~input build)
+  key_of ~prefix:(key_prefix ~toolchain ~program ~input) build
 
 (* The (module, CV) pairs a build compiles, for the per-module ICE check.
    A whole-program build is one compilation unit; per-module builds are
@@ -449,8 +466,9 @@ let run_job t ~toolchain ?outline ~program ~input ~key_str { build; rng } =
               in
               attempt_run 0))
 
-let try_measure_one t ~toolchain ?outline ~program ~input job =
-  let key_str = key ~toolchain ~program ~input job.build in
+(* [prefix] is [key_prefix] of the context: batches build it once. *)
+let measure_job ~prefix t ~toolchain ?outline ~program ~input job =
+  let key_str = key_of ~prefix job.build in
   Trace.emit t.trace (Event.Job_started { key = key_str });
   let outcome = run_job t ~toolchain ?outline ~program ~input ~key_str job in
   Trace.emit t.trace
@@ -462,10 +480,15 @@ let try_measure_one t ~toolchain ?outline ~program ~input job =
        });
   outcome
 
+let try_measure_one t ~toolchain ?outline ~program ~input job =
+  measure_job
+    ~prefix:(key_prefix ~toolchain ~program ~input)
+    t ~toolchain ?outline ~program ~input job
+
+let ok_or_raise = function Ok m -> m | outcome -> raise (Job_failed outcome)
+
 let measure_one t ~toolchain ?outline ~program ~input job =
-  match try_measure_one t ~toolchain ?outline ~program ~input job with
-  | Ok m -> m
-  | outcome -> raise (Job_failed outcome)
+  ok_or_raise (try_measure_one t ~toolchain ?outline ~program ~input job)
 
 (* -- the process backend ------------------------------------------------ *)
 
@@ -487,13 +510,14 @@ type shipment = {
   sh_events : Trace.stamped list;
 }
 
-let worker_shipment t ~toolchain ?outline ~program ~input ~batch (i, job) =
+let worker_shipment ~prefix t ~toolchain ?outline ~program ~input ~batch
+    (i, job) =
   let shadow = Trace.create ~clock:Trace.Wall () in
   let j = { j_cache = []; j_quar = [] } in
   let t' = { t with trace = shadow; checkpoint = None; journal = Some j } in
   let outcome =
     Trace.in_job shadow ~batch ~index:i (fun () ->
-        try_measure_one t' ~toolchain ?outline ~program ~input job)
+        measure_job ~prefix t' ~toolchain ?outline ~program ~input job)
   in
   {
     sh_outcome = outcome;
@@ -537,12 +561,15 @@ let merge_shipment t sh =
    quarantines the key.  The chaos hook is armed only on the first round,
    so the retried job's re-run is never re-killed and the run converges
    to the uninterrupted result. *)
-let pooled_outcomes t ~toolchain ?outline ~program ~input jobs_array =
+let pooled_outcomes ~prefix t ~toolchain ?outline ~program ~input jobs_array
+    =
   let n = Array.length jobs_array in
   expect t n;
   let batch = Trace.batch t.trace ~size:n in
   let outcomes = Array.make n None in
-  let f = worker_shipment t ~toolchain ?outline ~program ~input ~batch in
+  let f =
+    worker_shipment ~prefix t ~toolchain ?outline ~program ~input ~batch
+  in
   let workers =
     match t.backend with Backend.Sharded -> t.nodes | _ -> t.jobs
   in
@@ -583,10 +610,8 @@ let pooled_outcomes t ~toolchain ?outline ~program ~input jobs_array =
     | crashed ->
         List.iter
           (fun (i, detail) ->
-            let key_str =
-              key ~toolchain ~program ~input jobs_array.(i).build
-            in
-            quarantine_add t key_str
+            quarantine_add t
+              (key_of ~prefix jobs_array.(i).build)
               (Quarantine.Crashed ("worker: " ^ detail));
             outcomes.(i) <- Some (Worker_crashed detail);
             tick t)
@@ -598,9 +623,10 @@ let pooled_outcomes t ~toolchain ?outline ~program ~input jobs_array =
 (* -- batch entry points ------------------------------------------------- *)
 
 let measure_batch t ~toolchain ?outline ~program ~input jobs_array =
+  let prefix = key_prefix ~toolchain ~program ~input in
   match t.backend with
   | Backend.Processes | Backend.Sharded ->
-      pooled_outcomes t ~toolchain ?outline ~program ~input jobs_array
+      pooled_outcomes ~prefix t ~toolchain ?outline ~program ~input jobs_array
       |> Array.map (function
            | Ok m -> m
            | outcome -> raise (Pool.Worker_failure (Job_failed outcome)))
@@ -611,7 +637,11 @@ let measure_batch t ~toolchain ?outline ~program ~input jobs_array =
         Pool.map ~jobs:t.jobs
           (fun (i, job) ->
             Trace.in_job t.trace ~batch ~index:i (fun () ->
-                let m = measure_one t ~toolchain ?outline ~program ~input job in
+                let m =
+                  ok_or_raise
+                    (measure_job ~prefix t ~toolchain ?outline ~program ~input
+                       job)
+                in
                 tick t;
                 m))
           (Array.mapi (fun i job -> (i, job)) jobs_array)
@@ -622,9 +652,10 @@ let measure_list t ~toolchain ?outline ~program ~input jobs =
     (measure_batch t ~toolchain ?outline ~program ~input (Array.of_list jobs))
 
 let try_measure_batch t ~toolchain ?outline ~program ~input jobs_array =
+  let prefix = key_prefix ~toolchain ~program ~input in
   match t.backend with
   | Backend.Processes | Backend.Sharded ->
-      pooled_outcomes t ~toolchain ?outline ~program ~input jobs_array
+      pooled_outcomes ~prefix t ~toolchain ?outline ~program ~input jobs_array
   | Backend.Domains ->
       expect t (Array.length jobs_array);
       let batch = Trace.batch t.trace ~size:(Array.length jobs_array) in
@@ -635,7 +666,8 @@ let try_measure_batch t ~toolchain ?outline ~program ~input jobs_array =
                  Fun.protect
                    ~finally:(fun () -> tick t)
                    (fun () ->
-                     try_measure_one t ~toolchain ?outline ~program ~input job)))
+                     measure_job ~prefix t ~toolchain ?outline ~program ~input
+                       job)))
            (Array.mapi (fun i job -> (i, job)) jobs_array)
        with
       (* A fatal exception (cancellation, runtime collapse) must surface

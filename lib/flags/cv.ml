@@ -57,20 +57,19 @@ let render_full t =
   |> List.map (fun id -> render_flag id (get t id))
   |> String.concat " "
 
-let add_compact buf t =
-  Array.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char buf '.';
-      (* Every domain has arity <= 9, so values are single digits; the
-         general path keeps [of_compact] round-trips total anyway. *)
-      if v >= 0 && v < 10 then Buffer.add_char buf (Char.chr (Char.code '0' + v))
-      else Buffer.add_string buf (string_of_int v))
-    t
+(* Every domain has at most 10 values, so the compact form is one digit
+   per flag joined by dots: a fixed [compact_length] bytes. *)
+let () = assert (Array.for_all (fun id -> Flag.arity id <= 10) Flag.all)
+let compact_length = (2 * Flag.count) - 1
 
 let to_compact t =
-  let buf = Buffer.create (2 * Array.length t) in
-  add_compact buf t;
-  Buffer.contents buf
+  let b = Bytes.make compact_length '.' in
+  for i = 0 to Flag.count - 1 do
+    Bytes.unsafe_set b (2 * i) (Char.unsafe_chr (Char.code '0' + t.(i)))
+  done;
+  Bytes.unsafe_to_string b
+
+let add_compact buf t = Buffer.add_string buf (to_compact t)
 
 let of_compact s =
   let parts = String.split_on_char '.' s in

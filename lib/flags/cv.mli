@@ -44,12 +44,15 @@ val render_full : t -> string
 (** Full command line with every flag spelled out. *)
 
 val to_compact : t -> string
-(** Compact machine-readable encoding (dot-separated value indices). *)
+(** Compact machine-readable encoding (dot-separated value indices, one
+    digit each): always {!compact_length} bytes. *)
+
+val compact_length : int
+(** The length of every {!to_compact} string: [2 * Flag.count - 1]. *)
 
 val add_compact : Buffer.t -> t -> unit
-(** Append exactly {!to_compact} to a buffer without building the
-    intermediate string (cache-key construction is an evaluation hot
-    path). *)
+(** Append exactly {!to_compact} to a buffer (one blit; cache-key
+    construction is an evaluation hot path). *)
 
 val of_compact : string -> t option
 (** Inverse of {!to_compact}; [None] on malformed or out-of-domain input. *)

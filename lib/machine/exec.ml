@@ -244,6 +244,9 @@ let evaluate ~(arch : Arch.t) ~(input : Input.t) (binary : Linker.binary) =
   let icache_mult = 1.0 +. (0.06 *. Float.min 2.0 overflow) in
   (* Coupling 3: shared-array padding decided by the non-loop module. *)
   let padded = binary.Linker.data_padded in
+  let quirks =
+    Quirk.table ~platform:arch.Arch.platform ~program:program.Program.name
+  in
   let finalize r =
     let align_c = if padded && r.r_vectorized then 0.992 else 1.0 in
     let align_c = if r.r_code_aligned then align_c *. 0.995 else align_c in
@@ -256,10 +259,7 @@ let evaluate ~(arch : Arch.t) ~(input : Input.t) (binary : Linker.binary) =
       /. freq_factor
     in
     let memory = r.r_memory *. align_m in
-    let quirk =
-      Quirk.factor ~platform:arch.Arch.platform
-        ~program:program.Program.name ~region:r.r_name r.r_cv
-    in
+    let quirk = Quirk.lookup quirks ~region:r.r_name r.r_cv in
     let caliper_mult =
       if binary.Linker.instrumented && r.r_name <> raw_nonloop.r_name then
         1.02

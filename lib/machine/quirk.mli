@@ -8,7 +8,7 @@
     landscape is rugged but perfectly reproducible: the same CV on the same
     loop always performs identically.
 
-    The magnitude is small (each flag contributes ±1.5 %); first-order model
+    The magnitude is small (each flag contributes ±0.2 %); first-order model
     terms dominate, but top-X per-loop pruning has realistic fine structure
     to exploit. *)
 
@@ -19,9 +19,29 @@ val factor :
   Ft_flags.Cv.t ->
   float
 (** Product of the per-flag multipliers for this CV on this region; always
-    within [(1 - 0.015)^33, (1 + 0.015)^33] ≈ [0.61, 1.63] in theory, and
-    within a few percent of 1.0 in practice (independent ± contributions
-    cancel). *)
+    within [(1 - 0.002)^33, (1 + 0.002)^33] ≈ [0.936, 1.068] in theory, and
+    closer to 1.0 in practice (independent ± contributions cancel).
+    [factor ~platform ~program ~region cv] is
+    [lookup (table ~platform ~program) ~region cv]. *)
+
+type table
+(** The memo tables of one (platform, program) in the calling domain. *)
+
+val table : platform:Ft_prog.Platform.t -> program:string -> table
+(** Resolve a program's tables once, then {!lookup} each region. *)
+
+val lookup : table -> region:string -> Ft_flags.Cv.t -> float
+(** {!factor} through a resolved table.  Use the table only in the domain
+    that resolved it. *)
+
+val memo_cap : int
+(** The most products one region memoizes per domain; past it the region's
+    memo is cleared (exposed for tests). *)
+
+val memo_entries :
+  platform:Ft_prog.Platform.t -> program:string -> region:string -> int
+(** The number of memoized products for a region in the calling domain
+    (exposed for tests). *)
 
 val flag_factor :
   platform:Ft_prog.Platform.t ->

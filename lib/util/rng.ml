@@ -23,15 +23,22 @@ let split t =
   let child_seed = int64 t in
   { state = child_seed }
 
-let hash_string s =
-  (* FNV-1a over bytes, folded to a non-negative OCaml int. *)
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
-  Int64.to_int !h land max_int
+(* FNV-1a over bytes.  The state is kept in a native int, i.e. the 64-bit
+   FNV-1a state modulo 2^63: the low bits of a product depend only on the
+   low bits of its operands, so every bit the fold to a non-negative int
+   keeps is exactly FNV-1a-64's — and nothing is boxed. *)
+let fnv_offset = Int64.to_int 0xcbf29ce484222325L
+let fnv_prime = 0x100000001b3
+
+let fnv_feed h s =
+  let h = ref h in
+  for i = 0 to String.length s - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s i)) * fnv_prime
+  done;
+  !h
+
+let fnv_finish h = h land max_int
+let hash_string s = fnv_finish (fnv_feed fnv_offset s)
 
 let of_label t label =
   let mixed =

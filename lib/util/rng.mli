@@ -71,4 +71,22 @@ val sample_without_replacement : t -> int -> int -> int list
 
 val hash_string : string -> int
 (** The label hash used by {!of_label}, exposed for deterministic
-    model perturbations keyed by structural names. *)
+    model perturbations keyed by structural names: FNV-1a-64 of the
+    bytes, folded to a non-negative int.  Equal to
+    [fnv_finish (fnv_feed fnv_offset s)]. *)
+
+(** {2 Streaming FNV-1a}
+
+    [hash_string (a ^ b) = fnv_finish (fnv_feed (fnv_feed fnv_offset a) b)]:
+    callers that hash many strings sharing a prefix feed the prefix once
+    and continue from its state, without building the concatenation.
+    Nothing here allocates. *)
+
+val fnv_offset : int
+(** The state of the empty string. *)
+
+val fnv_feed : int -> string -> int
+(** [fnv_feed h s] continues state [h] over the bytes of [s]. *)
+
+val fnv_finish : int -> int
+(** Fold a state to the non-negative int {!hash_string} returns. *)

@@ -385,6 +385,153 @@ let test_link_validates_units () =
     (fun () ->
       ignore (Linker.link ~target:bdw ~program []))
 
+let test_link_rejects_wrong_region_sets () =
+  let program = Ft_suite.Cloverleaf.program in
+  let units =
+    Cunit.compile_program ~profile:icc ~target:bdw ~cv_of:(fun _ -> Cv.o3)
+      program
+  in
+  let rejects what us =
+    Alcotest.check_raises what
+      (Invalid_argument "Linker.link: units do not match the program's regions")
+      (fun () -> ignore (Linker.link ~target:bdw ~program us))
+  in
+  let extra = { (List.hd units) with Cunit.region_name = "no-such-region" } in
+  let first = List.hd units and rest = List.tl units in
+  rejects "missing region" rest;
+  rejects "duplicated region" (units @ [ first ]);
+  rejects "duplicate in place of a region" (first :: first :: List.tl rest);
+  rejects "extra region" (units @ [ extra ]);
+  rejects "foreign region in place of a region" (extra :: rest);
+  (* A permuted but complete unit list is accepted and links the same. *)
+  let b = Linker.link ~target:bdw ~program units in
+  let b' = Linker.link ~target:bdw ~program (List.rev units) in
+  Alcotest.(check int) "permutation links the same" b.Linker.total_code_bytes
+    b'.Linker.total_code_bytes
+
+(* The link as it was first written: seeds built with [Printf.sprintf], the
+   unit set validated by sorting, uniformity by [sort_uniq].  [Linker.link]
+   streams its seeds instead and must agree bit for bit. *)
+let reference_link ~(target : Target.t) ~(program : Program.t) units =
+  let fingerprint = Linker.assignment_fingerprint units in
+  let perturb (u : Cunit.t) =
+    let d = u.Cunit.decision in
+    let f = u.Cunit.loop.Loop.features in
+    let rng =
+      Ft_util.Rng.create
+        (Ft_util.Rng.hash_string
+           (Printf.sprintf "lto:%s:%s:%d" program.Program.name
+              u.Cunit.region_name fingerprint))
+    in
+    let x = Ft_util.Rng.float rng 1.0 in
+    if x < 0.30 then d
+    else if x < 0.48 then
+      let dep_ok = f.Feature.dep_chain <= 0.0 || f.Feature.reduction in
+      if not dep_ok then d
+      else
+        let width =
+          if target.Target.max_simd_bits >= 256 then Decision.W256
+          else Decision.W128
+        in
+        {
+          d with
+          Decision.width;
+          if_converted = d.Decision.if_converted || f.Feature.divergence > 0.0;
+          unroll = max d.Decision.unroll 2;
+          spills = d.Decision.spills +. 1.5;
+          code_bytes = int_of_float (float_of_int d.Decision.code_bytes *. 1.9);
+        }
+    else if x < 0.63 then
+      if d.Decision.width = Decision.Scalar then d
+      else
+        {
+          d with
+          Decision.width = Decision.Scalar;
+          code_bytes = int_of_float (float_of_int d.Decision.code_bytes *. 0.7);
+        }
+    else if x < 0.83 then
+      {
+        d with
+        Decision.unroll = min 16 (d.Decision.unroll * 4);
+        spills = d.Decision.spills +. 2.0;
+        code_bytes = int_of_float (float_of_int d.Decision.code_bytes *. 3.0);
+      }
+    else { d with Decision.sched_quality = d.Decision.sched_quality *. 0.85 }
+  in
+  let uniform =
+    List.length
+      (List.sort_uniq Cv.compare
+         (List.map (fun (u : Cunit.t) -> u.Cunit.cv) units))
+    <= 1
+  in
+  let any_ipo = List.exists (fun (u : Cunit.t) -> Cv.ipo u.Cunit.cv) units in
+  let final (u : Cunit.t) =
+    if uniform || not any_ipo then u.Cunit.decision else perturb u
+  in
+  let find name =
+    List.find (fun (u : Cunit.t) -> u.Cunit.region_name = name) units
+  in
+  let nonloop = final (find program.Program.nonloop.Loop.name) in
+  let loops =
+    List.map
+      (fun (l : Loop.t) -> final (find l.Loop.name))
+      program.Program.loops
+  in
+  let total_code_bytes =
+    List.fold_left
+      (fun acc (d : Decision.t) -> acc + d.Decision.code_bytes)
+      nonloop.Decision.code_bytes loops
+  in
+  let link_luck =
+    if uniform || not any_ipo then 1.0
+    else
+      let rng =
+        Ft_util.Rng.create
+          (Ft_util.Rng.hash_string
+             (Printf.sprintf "luck:%s:%d" program.Program.name fingerprint))
+      in
+      1.0 +. Float.abs (Ft_util.Rng.gauss rng ~mu:0.0 ~sigma:0.07)
+  in
+  (nonloop :: loops, link_luck, total_code_bytes, uniform)
+
+(* Random per-module assignments over every suite program: a small pool of
+   sampled CVs, with -ipo forced off everywhere, forced on in one module,
+   or left as sampled; a one-CV pool gives a uniform per-module build. *)
+let prop_link_matches_reference =
+  let programs = Array.of_list Ft_suite.Suite.all in
+  QCheck.Test.make ~count:150 ~name:"Linker.link = sprintf-seeded reference"
+    QCheck.(
+      quad (int_bound (Array.length programs - 1)) small_nat (int_range 1 5)
+        (int_bound 2))
+    (fun (pi, seed, pool_size, ipo_mode) ->
+      let program = programs.(pi) in
+      let rng = Ft_util.Rng.create seed in
+      let pool = Ft_flags.Space.sample_pool rng pool_size in
+      let with_ipo v cv = Cv.set cv Flag.Ipo v in
+      let cv_of name =
+        let cv = pool.(Ft_util.Rng.hash_string name mod pool_size) in
+        match ipo_mode with
+        | 0 -> with_ipo 0 cv
+        | 1 ->
+            if name = program.Program.nonloop.Loop.name then with_ipo 1 cv
+            else with_ipo 0 cv
+        | _ -> cv
+      in
+      let units =
+        Cunit.compile_program ~profile:icc ~target:bdw ~cv_of program
+      in
+      let b = Linker.link ~target:bdw ~program units in
+      let finals, luck, bytes, uniform =
+        reference_link ~target:bdw ~program units
+      in
+      List.for_all2 Decision.equal finals
+        (List.map (fun (r : Linker.region) -> r.Linker.final)
+           (b.Linker.nonloop :: b.Linker.regions))
+      && Int64.equal (Int64.bits_of_float luck)
+           (Int64.bits_of_float b.Linker.link_luck)
+      && bytes = b.Linker.total_code_bytes
+      && uniform = b.Linker.uniform)
+
 let test_fingerprint_tracks_decisions_not_flags () =
   (* Changing a flag that changes no decision must not change the link. *)
   let program = Ft_suite.Cloverleaf.program in
@@ -459,4 +606,7 @@ let suite =
         test_link_validates_units;
       Alcotest.test_case "fingerprint keyed on code" `Quick
         test_fingerprint_tracks_decisions_not_flags;
+      Alcotest.test_case "link rejects wrong region sets" `Quick
+        test_link_rejects_wrong_region_sets;
+      QCheck_alcotest.to_alcotest prop_link_matches_reference;
     ] )

@@ -323,6 +323,31 @@ let test_key_sensitivity () =
        (Engine.Assigned
           { assignment = [ ("b", Ft_flags.Cv.o2); ("a", cv) ]; instrumented = false }))
 
+(* The cache-compatibility contract: keys are digests of pinned bytes, so
+   caches written by earlier builds keep hitting.  These MD5s were taken
+   from the key as first written (a [Printf.bprintf] prefix and
+   per-character CV appends); any change to the canonical bytes shows here. *)
+let test_key_pinned () =
+  let module Cv = Ft_flags.Cv in
+  let module Flag = Ft_flags.Flag in
+  let cv = Cv.set (Cv.set Cv.o3 Flag.Unroll 3) Flag.Ipo 1 in
+  let names =
+    program.Program.nonloop.Loop.name
+    :: List.map (fun (l : Loop.t) -> l.Loop.name) program.Program.loops
+  in
+  let assignment =
+    List.rev
+      (List.mapi
+         (fun i m -> (m, if i mod 2 = 0 then cv else Cv.set Cv.o2 Flag.Tile i))
+         names)
+  in
+  Alcotest.(check string) "uniform key" "34be76ba162fae988990c9c4cc077acd"
+    (Engine.key ~toolchain ~program ~input
+       (Engine.Uniform { cv; instrumented = false }));
+  Alcotest.(check string) "assigned key" "76785d5f1670761b8f20b64c208201a3"
+    (Engine.key ~toolchain ~program ~input
+       (Engine.Assigned { assignment; instrumented = true }))
+
 (* --- counters and progress ------------------------------------------------- *)
 
 let test_progress_and_timers () =
@@ -396,4 +421,5 @@ let suite =
       Alcotest.test_case "telemetry progress and timers" `Quick
         test_progress_and_timers;
       Alcotest.test_case "telemetry render" `Quick test_render_mentions_counters;
+      Alcotest.test_case "cache keys pinned" `Quick test_key_pinned;
     ] )

@@ -214,6 +214,26 @@ let prop_distance_symmetric =
       and b = Space.sample (Rng.create s2) in
       Space.distance a b = Space.distance b a)
 
+(* [Cv.add_compact] writes the fixed-length form in one blit; it must
+   equal the per-value rendering it replaced, and round-trip. *)
+let prop_compact_matches_reference =
+  QCheck.Test.make ~count:300
+    ~name:"add_compact = per-value rendering, round-trips" QCheck.int
+    (fun seed ->
+      let cv = Space.sample (Rng.create seed) in
+      let reference =
+        String.concat "."
+          (Array.to_list
+             (Array.map (fun id -> string_of_int (Cv.get cv id)) Flag.all))
+      in
+      let buf = Buffer.create 8 in
+      Buffer.add_string buf "k=";
+      Cv.add_compact buf cv;
+      Buffer.contents buf = "k=" ^ reference
+      && Cv.to_compact cv = reference
+      && String.length reference = Cv.compact_length
+      && Option.map (Cv.equal cv) (Cv.of_compact reference) = Some true)
+
 let prop_mutate_n_bounded =
   QCheck.Test.make ~count:100 ~name:"mutate_n moves at most n flags"
     QCheck.(pair small_int (int_range 0 8))
@@ -254,4 +274,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_sample_binary_is_binary;
       QCheck_alcotest.to_alcotest prop_distance_symmetric;
       QCheck_alcotest.to_alcotest prop_mutate_n_bounded;
+      QCheck_alcotest.to_alcotest prop_compact_matches_reference;
     ] )

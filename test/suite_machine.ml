@@ -59,8 +59,8 @@ let test_quirk_bounds () =
     let q =
       Quirk.factor ~platform:Platform.Broadwell ~program:"p" ~region:"r" cv
     in
-    Alcotest.(check bool) "within a few percent of 1" true
-      (q > 0.9 && q < 1.1)
+    Alcotest.(check bool) "within (1 -/+ 0.002)^33" true
+      (q >= 0.998 ** 33.0 && q <= 1.002 ** 33.0)
   done
 
 let test_quirk_varies_by_region () =
@@ -78,9 +78,53 @@ let test_flag_factor_bounds () =
             ~region:"r" flag v
         in
         Alcotest.(check bool) "per-flag amplitude" true
-          (q >= 0.985 && q <= 1.015)
+          (q >= 0.998 && q <= 1.002)
       done)
     Flag.all
+
+(* The memoized product must be the fold of [flag_factor] over [Flag.all],
+   bit for bit, whether the region's tables are cold or warm. *)
+let test_quirk_product_exact () =
+  let rng = Ft_util.Rng.create 43 in
+  for _ = 1 to 50 do
+    let cv = Ft_flags.Space.sample rng in
+    let expected =
+      Array.fold_left
+        (fun acc flag ->
+          acc
+          *. Quirk.flag_factor ~platform:Platform.Sandy_bridge ~program:"p"
+               ~region:"exact" flag (Cv.get cv flag))
+        1.0 Flag.all
+    in
+    for _ = 1 to 2 do
+      let q =
+        Quirk.factor ~platform:Platform.Sandy_bridge ~program:"p"
+          ~region:"exact" cv
+      in
+      Alcotest.(check int64) "bit-identical product"
+        (Int64.bits_of_float expected) (Int64.bits_of_float q)
+    done
+  done
+
+(* A long-lived domain prices CV after CV; each region's memo must stay
+   bounded, and results must not depend on what it has forgotten. *)
+let test_quirk_memo_bounded () =
+  let price cv =
+    Quirk.factor ~platform:Platform.Opteron ~program:"p" ~region:"cap" cv
+  in
+  let rng = Ft_util.Rng.create 44 in
+  let first = Ft_flags.Space.sample rng in
+  let q0 = price first in
+  for _ = 1 to Quirk.memo_cap + 500 do
+    ignore (price (Ft_flags.Space.sample rng));
+    let n =
+      Quirk.memo_entries ~platform:Platform.Opteron ~program:"p" ~region:"cap"
+    in
+    if n > Quirk.memo_cap then
+      Alcotest.failf "memo holds %d entries, cap is %d" n Quirk.memo_cap
+  done;
+  Alcotest.(check int64) "same product after the memo was cleared"
+    (Int64.bits_of_float q0) (Int64.bits_of_float (price first))
 
 (* --- Exec: determinism and structure ------------------------------------ *)
 
@@ -288,4 +332,6 @@ let suite =
       Alcotest.test_case "explain names" `Quick test_explain_boundedness_names;
       Alcotest.test_case "explain render" `Quick test_explain_render;
       QCheck_alcotest.to_alcotest prop_measure_positive;
+      Alcotest.test_case "quirk product exact" `Quick test_quirk_product_exact;
+      Alcotest.test_case "quirk memo bounded" `Quick test_quirk_memo_bounded;
     ] )

@@ -123,6 +123,38 @@ let test_hash_string_stable () =
     (Rng.hash_string "a" <> Rng.hash_string "b");
   Alcotest.(check bool) "non-negative" true (Rng.hash_string "x" >= 0)
 
+(* Published FNV-1a-64 test vectors, after the fold to a non-negative int
+   (the low 62 bits). *)
+let test_hash_string_fnv_vectors () =
+  let folded v = Int64.to_int v land max_int in
+  List.iter
+    (fun (s, v) ->
+      Alcotest.(check int) (Printf.sprintf "%S" s) (folded v)
+        (Rng.hash_string s))
+    [
+      ("", 0xcbf29ce484222325L);
+      ("a", 0xaf63dc4c8601ec8cL);
+      ("foobar", 0x85944171f73967e8L);
+    ]
+
+(* FNV-1a-64 as first written, over boxed [Int64]s. *)
+let reference_fnv s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c ->
+      h := Int64.logxor !h (Int64.of_int (Char.code c));
+      h := Int64.mul !h 0x100000001b3L)
+    s;
+  Int64.to_int !h land max_int
+
+let prop_fnv_streams =
+  QCheck.Test.make ~count:500 ~name:"fnv_feed a then b = hash_string (a ^ b)"
+    QCheck.(pair string string)
+    (fun (a, b) ->
+      let streamed = Rng.(fnv_finish (fnv_feed (fnv_feed fnv_offset a) b)) in
+      streamed = Rng.hash_string (a ^ b)
+      && streamed = reference_fnv (a ^ b))
+
 (* --- Stats ------------------------------------------------------------ *)
 
 let test_mean () = check_float "mean" 2.0 (Stats.mean [ 1.0; 2.0; 3.0 ])
@@ -445,4 +477,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_selectors_reject_nan;
       QCheck_alcotest.to_alcotest prop_median_permutation_invariant;
       QCheck_alcotest.to_alcotest prop_monotonize_never_goes_backward;
+      Alcotest.test_case "hash_string FNV-1a vectors" `Quick
+        test_hash_string_fnv_vectors;
+      QCheck_alcotest.to_alcotest prop_fnv_streams;
     ] )
