@@ -176,7 +176,10 @@ smoke-selfcheck: build
 #   2. quality-vs-budget: at a quarter of CFR's measurement budget,
 #      adaptive-sh lands within 2% of CFR's best time (speedups compare
 #      as sh >= cfr / 1.02, same thing via T_O3/best);
-#   3. the checkpoint/resume equivalence oracle passes for adaptive-sh.
+#   3. the checkpoint/resume equivalence oracle passes for adaptive-sh;
+#   4. `experiment adaptive` (quality vs budget on every benchmark) is
+#      byte-identical at --jobs 1 and --jobs 2, and on every one of its
+#      seven rows the quarter-budget column holds SH@250 >= CFR(full)/1.02.
 smoke-adaptive: build
 	$(FUNCY) tune -b swim -a adaptive-sh -k 120 --jobs 1 \
 	  --trace _build/smoke-adaptive-j1.jsonl --trace-clock logical \
@@ -195,6 +198,17 @@ smoke-adaptive: build
 	    printf "adaptive-sh speedup %s vs CFR %s\n", sh, cfr; \
 	    exit !(sh + 0 >= cfr / 1.02) }'
 	$(FUNCY) selfcheck -b swim -k 60 --jobs 2 -a adaptive-sh
+	$(FUNCY) experiment adaptive --jobs 1 > _build/smoke-adaptive-exp-j1.out
+	$(FUNCY) experiment adaptive --jobs 2 > _build/smoke-adaptive-exp-j2.out
+	cmp _build/smoke-adaptive-exp-j1.out _build/smoke-adaptive-exp-j2.out
+	awk -F'|' ' \
+	  /SH@250/ { for (i = 2; i < NF; i++) { h = $$i; gsub(/ /, "", h); \
+	      if (h == "SH@250") sh = i; if (h == "CFR(full)") cfr = i }; next } \
+	  sh && cfr && NF > cfr { rows++; \
+	    ok = $$sh + 0 >= $$cfr / 1.02; bad += !ok; \
+	    printf "%s SH@250 %s vs CFR %s: %s\n", $$2, $$sh + 0, $$cfr + 0, \
+	      ok ? "ok" : "FAIL" } \
+	  END { exit !(rows == 7 && bad == 0) }' _build/smoke-adaptive-exp-j1.out
 	@echo "smoke-adaptive OK: quarter-budget quality held, traces jobs-independent, resume equivalent"
 
 # Tuning-service smoke (see DESIGN.md section 13):
@@ -266,15 +280,15 @@ smoke-fig5c: build
 	cmp test/golden/fig5c-k1000.md5 _build/smoke-fig5c-j2.md5
 	@echo "smoke-fig5c OK: full-size fig5c matches its pinned MD5 at --jobs 1 and 2"
 
-# Perf regression gate (see DESIGN.md section 16): run the JSON bench
-# suite and compare its headline metrics against the committed seed
+# Perf regression gate (see DESIGN.md section 16): take the bench/main.exe
+# snapshot and compare its headline metrics against the committed seed
 # snapshot.  Solo-tune evals/sec must reach 1.3x the seed's; the cache
 # hit rate may drop at most 0.05 absolute; loadgen p50/p99 latencies may
 # grow at most 3x (latency tolerances are deliberately loose: CI boxes
 # vary, while the throughput ratio is the contract this PR's hot-path
 # work must hold).  Exits 1 on any regression.
 bench-gate: build
-	$(DUNE) exec --no-build bench/main.exe -- --json --jobs 4 \
+	$(DUNE) exec --no-build bench/main.exe -- --jobs 4 \
 	  --gate $(BENCH_SEED) --gate-min-ratio 1.3
 
 # The repository benchmark's own checks (perfbench/NOTES.md): its

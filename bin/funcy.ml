@@ -6,7 +6,7 @@
      decisions    per-region code-generation decisions for a CV
      tune         run one tuning algorithm on one benchmark/platform
      selfcheck    differential checkpoint/resume equivalence oracle
-     experiment   regenerate paper tables/figures (same ids as bench/main)
+     experiment   regenerate the paper's tables and figures
      report       summarize a run from its --trace file *)
 
 open Cmdliner
@@ -883,7 +883,7 @@ let selfcheck_cmd =
 let experiment_names =
   [
     "tab1"; "tab2"; "fig1"; "fig5a"; "fig5b"; "fig5c"; "fig6"; "fig7a";
-    "fig7b"; "fig8"; "fig9"; "tab3"; "ablations"; "faults";
+    "fig7b"; "fig8"; "fig9"; "tab3"; "ablations"; "faults"; "adaptive";
   ]
 
 let experiment_cmd =
@@ -893,7 +893,8 @@ let experiment_cmd =
       & opt (some string) None
       & info [ "csv-dir" ] ~docv:"DIR"
           ~doc:
-            "Also write each figure-shaped experiment as CSV into $(docv)              (created if missing).")
+            "Also write each figure-shaped experiment as CSV into $(docv) \
+             (created, parents included, if missing).")
   in
   let experiment_arg =
     (* Validated up front so a typo is a usage error with the valid names,
@@ -913,7 +914,7 @@ let experiment_cmd =
       value & pos_all experiment_arg []
       & info [] ~docv:"EXPERIMENT"
           ~doc:"fig1 fig5a fig5b fig5c fig6 fig7a fig7b fig8 fig9 tab1 tab2 \
-                tab3 ablations faults (default: fig5c).")
+                tab3 ablations faults adaptive (default: fig5c).")
   in
   let run seed pool jobs backend kill_workers nodes shared_cache stats
       resilience tspec csv_dir names =
@@ -933,7 +934,6 @@ let experiment_cmd =
       match csv_dir with
       | None -> ()
       | Some dir ->
-          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
           let path = Filename.concat dir (name ^ ".csv") in
           Csv.write ~path series;
           Printf.printf "(wrote %s)\n" path
@@ -945,7 +945,14 @@ let experiment_cmd =
       | "fig5a" -> emit "fig5a" (Fig5.panel lab Platform.Opteron)
       | "fig5b" -> emit "fig5b" (Fig5.panel lab Platform.Sandy_bridge)
       | "fig5c" -> emit "fig5c" (Fig5.panel lab Platform.Broadwell)
-      | "fig6" -> emit "fig6" (Fig6.run lab)
+      | "fig6" ->
+          emit "fig6" (Fig6.run lab);
+          List.iter
+            (fun p ->
+              Option.iter
+                (Printf.printf "  note: %s\n%!")
+                (Lab.pgo lab p).Ft_baselines.Pgo_driver.diagnostic)
+            Ft_suite.Suite.all
       | "fig7a" -> emit "fig7a" (Fig7.panel lab ~small:true)
       | "fig7b" -> emit "fig7b" (Fig7.panel lab ~small:false)
       | "fig8" -> emit "fig8" (Fig8.run lab)
@@ -962,6 +969,9 @@ let experiment_cmd =
           Ft_util.Table.print (Ablations.adaptive_budget lab);
           emit "elimination" (Ablations.elimination_variants lab);
           Ft_util.Table.print (Ablations.critical_flags_table lab)
+      | "adaptive" ->
+          Ft_util.Table.print
+            (Ablations.quality_vs_budget_table (Ablations.quality_vs_budget lab))
       | _ ->
           (* unreachable: names are validated by [experiment_arg] *)
           assert false

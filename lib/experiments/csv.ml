@@ -17,7 +17,14 @@ let of_series (s : Series.t) =
     s.Series.rows;
   Buffer.contents buf
 
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
+  end
+
 let write ~path series =
+  mkdir_p (Filename.dirname path);
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)

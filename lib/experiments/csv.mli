@@ -8,4 +8,5 @@ val of_series : Series.t -> string
     quoted. *)
 
 val write : path:string -> Series.t -> unit
-(** Write {!of_series} to a file. *)
+(** Write {!of_series} to a file, creating its missing parent
+    directories. *)

@@ -54,6 +54,19 @@ let test_csv_escaping () =
   Alcotest.(check bool) "quote doubled" true
     (Test_helpers.contains csv "\"q\"\"q\"")
 
+(* Csv.write creates missing parent directories, so a nested --csv-dir
+   does not fail after the experiment already ran; the bytes are those
+   of a flat-path write. *)
+let test_csv_write_nested () =
+  let dir = Test_helpers.temp_dir "csv" in
+  Fun.protect ~finally:(fun () -> Test_helpers.remove_tree dir) @@ fun () ->
+  let flat = Filename.concat dir "fig.csv" in
+  let nested = List.fold_left Filename.concat dir [ "a"; "b"; "fig.csv" ] in
+  Ft_experiments.Csv.write ~path:flat sample;
+  Ft_experiments.Csv.write ~path:nested sample;
+  Alcotest.(check string) "nested bytes = flat bytes"
+    (Test_helpers.read_file flat) (Test_helpers.read_file nested)
+
 (* --- Lab (shared, reduced budget) --------------------------------------- *)
 
 (* A small lab: pool of 60 keeps each cell fast while preserving shape. *)
@@ -166,6 +179,8 @@ let suite =
       Alcotest.test_case "series rendering" `Quick test_series_render;
       Alcotest.test_case "csv export" `Quick test_csv_export;
       Alcotest.test_case "csv escaping" `Quick test_csv_escaping;
+      Alcotest.test_case "csv write creates parent dirs" `Quick
+        test_csv_write_nested;
       Alcotest.test_case "lab caching" `Quick test_lab_caching;
       Alcotest.test_case "lab O3 evaluation" `Quick test_lab_o3_evaluation;
       Alcotest.test_case "paper shape invariants (all benchmarks)" `Slow
